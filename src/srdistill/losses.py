@@ -1,12 +1,23 @@
 """Distillation losses for image translation.
 
 The transfer signal is a pairwise-similarity matrix over encoder activations:
-flatten a (1, C, H, W) feature map to columns, form the P x P Gram matrix of
-pixel positions (P = H*W), and L2-normalize its rows. Teacher and student
-encode the same real input, and the student is penalized for the mean
-absolute difference between the two matrices. Because the matrix lives in
-position space, teacher and student may have different channel widths; only
-the tap's spatial grid must agree.
+flatten a (C, H, W) feature map to a (C, P) matrix F, form the P x P Gram
+matrix S = F^T F of pixel positions (P = H*W), and L2-normalize its rows.
+Teacher and student encode the same real input, and the student is penalized
+for the mean absolute difference between the two matrices. Because the matrix
+lives in position space, teacher and student may have different channel
+widths; only the tap's spatial grid must agree.
+
+``semrel_matrix`` and ``sp_loss`` build that signal from generic ops and hold
+every P x P matrix in full; they are the explicit definition. The objectives
+use ``similarity_loss``, one op that computes the same value in row blocks.
+Row normalization is row-local, and the row norms follow from C x C algebra
+(||S_i||^2 = F_i^T (F F^T) F_i), so each block of the difference matrix is one
+matrix product of the norm-scaled columns against the features. Only the
+signs of the difference are kept for backward, one byte per entry, and the
+gradient is accumulated block by block. The teacher feature is a constant
+target there: a frozen teacher builds no graph, and the op reads only its
+data and never gives it a gradient.
 
 Adversarial terms are least-squares (target 1 for real, 0 for fake).
 Reconstruction terms blend ground-truth against teacher outputs with weight
@@ -88,14 +99,110 @@ def semrel_matrix(feat: Tensor) -> ActivationMatrix:
 def sp_loss(teacher: ActivationMatrix, student: ActivationMatrix) -> Tensor:
     """Mean absolute difference between two activation matrices."""
     if teacher.values.shape != student.values.shape:
-        th, tw = teacher.grid
-        sh, sw = student.grid
-        raise ShapeError(
-            f"similarity grids differ: teacher {th}x{tw} "
-            f"(P={th * tw}) vs student {sh}x{sw} (P={sh * sw}); "
-            f"choose taps with matching spatial size"
-        )
+        raise _grid_mismatch(teacher.grid, student.grid)
     return T.abs_mean(teacher.values, student.values)
+
+
+def _grid_mismatch(teacher: tuple[int, int],
+                   student: tuple[int, int]) -> ShapeError:
+    (th, tw), (sh, sw) = teacher, student
+    return ShapeError(
+        f"similarity grids differ: teacher {th}x{tw} "
+        f"(P={th * tw}) vs student {sh}x{sw} (P={sh * sw}); "
+        f"choose taps with matching spatial size"
+    )
+
+
+# rows of the P x P difference matrix held at once: 2**20 entries, 4 MB in
+# float32, whatever P is
+BLOCK_ELEMS = 2 ** 20
+
+
+def _scaled_columns(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F diag(1/r), 1/r, F F^T) of a (C, P) map, r the row norms of F^T F.
+
+    All-zero columns give all-zero rows of F^T F and keep inverse norm 0.
+    """
+    gram = f @ f.T
+    r = np.sqrt(np.maximum(((gram @ f) * f).sum(axis=0), 0.0))
+    inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
+    return f * inv, inv, gram
+
+
+def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
+    """Similarity term between NCHW teacher and student features.
+
+    Per sample this is ``sp_loss(semrel_matrix(t), semrel_matrix(s))``; over
+    a batch it is the mean over samples. It holds no P x P float buffer: the
+    difference matrix is formed ``BLOCK_ELEMS // P`` rows at a time, and
+    backward keeps only its signs, as int8. The teacher feature is a constant
+    target: only its ``.data`` is read, and it gets no graph and no gradient,
+    even when it requires one.
+    """
+    for role, feat in (("teacher", teacher_feat), ("student", student_feat)):
+        if feat.data.ndim != 4:
+            raise ShapeError(f"expected NCHW {role} features, got {feat.shape}")
+    n, _, h, w = student_feat.shape
+    if teacher_feat.shape[2:] != (h, w):
+        raise _grid_mismatch(teacher_feat.shape[2:], (h, w))
+    if teacher_feat.shape[0] != n:
+        raise ShapeError(f"similarity batches differ: teacher "
+                         f"{teacher_feat.shape[0]} vs student {n}")
+    dtype = np.result_type(teacher_feat.data, student_feat.data)
+    p = h * w
+    fs_all = student_feat.data.reshape(n, -1, p).astype(dtype, copy=False)
+    ft_all = teacher_feat.data.reshape(n, -1, p).astype(dtype, copy=False)
+    rows = min(p, max(1, BLOCK_ELEMS // p))
+    blocks = [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
+    # block buffers are reused: a fresh 4 MB array per block costs more in
+    # page faults than the block's arithmetic
+    buf = np.empty((rows, p), dtype=dtype)
+    pos = np.empty((rows, p), dtype=bool)
+    neg = np.empty((rows, p), dtype=bool)
+    signs = np.empty((n, p, p), dtype=np.int8)
+    saved = []
+    total = 0.0
+    for k in range(n):
+        a_s, inv_s, gram_s = _scaled_columns(fs_all[k])
+        a_t = _scaled_columns(ft_all[k])[0]
+        # block rows of diag(1/r_s) S_s - diag(1/r_t) S_t in one product
+        lhs = np.concatenate([a_s, -a_t]).T.copy()
+        rhs = np.concatenate([fs_all[k], ft_all[k]])
+        for blk in blocks:
+            m = blk.stop - blk.start
+            d = np.matmul(lhs[blk], rhs, out=buf[:m])
+            # int8 signs from two comparisons: np.sign runs at half the speed
+            np.subtract(np.greater(d, 0, out=pos[:m]).view(np.int8),
+                        np.less(d, 0, out=neg[:m]).view(np.int8),
+                        out=signs[k, blk])
+            total += float(np.abs(d, out=d).sum(axis=1).sum(dtype=np.float64))
+        saved.append((a_s, inv_s, gram_s))
+
+    def backward(g):
+        # with A = diag(1/r) S, G = sign(A_s - A_t) and dot_i = G_i . A_i:
+        # dF = F (dS + dS^T), dS = diag(1/r) G - diag(dot/r^2) S
+        grad = np.empty_like(fs_all)
+        for k in range(n):
+            fs = fs_all[k]
+            a_s, inv_s, gram_s = saved[k]
+            df = np.zeros_like(fs)
+            q = np.zeros_like(gram_s)
+            for blk in blocks:
+                gb = buf[:blk.stop - blk.start]
+                np.copyto(gb, signs[k, blk])
+                hb = gb @ fs.T  # rows of G F^T
+                ab = a_s[:, blk]
+                dot = np.einsum("bc,cb->b", hb, ab)
+                df += ab @ gb
+                df[:, blk] += hb.T * inv_s[blk] - (gram_s @ ab) * (dot * inv_s[blk])
+                q += (ab * dot) @ ab.T
+            df -= q @ fs
+            grad[k] = df
+        grad *= float(g) / (n * p * p)
+        T._accum(student_feat, grad.reshape(student_feat.shape))
+
+    out = np.asarray(total / (n * p * p), dtype=dtype)
+    return T._make(out, (student_feat,), backward)
 
 
 def adversarial_loss(scores: Tensor, target_is_real: bool) -> Tensor:
@@ -122,6 +229,23 @@ def discriminator_loss(disc: Model, real: Tensor, fake: Tensor) -> Tensor:
 
 def _zero(like: Tensor) -> Tensor:
     return Tensor(np.zeros((), dtype=like.data.dtype))
+
+
+def _translate(gen: Model, teacher: Model | None, x: Tensor,
+               cfg: DistillConfig, use_sp: bool, use_kd: bool
+               ) -> tuple[Tensor, Tensor, Tensor | None]:
+    """(similarity term, student output, teacher output) for one input.
+
+    The teacher runs only when a term needs it; without similarity the
+    term is a constant zero and the teacher output is None unless use_kd.
+    """
+    if use_sp:
+        feat, fake = gen.forward_split(x, cfg.student_layer)
+        tfeat, fake_t = teacher.forward_split(x, cfg.teacher_layer)
+        return similarity_loss(tfeat, feat), fake, fake_t
+    fake = gen.forward(x)
+    fake_t = teacher.forward(x) if use_kd else None
+    return _zero(x), fake, fake_t
 
 
 @dataclass
@@ -162,23 +286,8 @@ def full_cycle_objective(g_a: Model, g_b: Model, d_a: Model, d_b: Model,
     if (use_kd or use_sp_a or use_sp_b) and (teacher_a is None or teacher_b is None):
         raise ValueError("teachers required when alpha < 1 or a gamma is nonzero")
 
-    if use_sp_a:
-        feat_a, fake_y = g_a.forward_split(x, cfg.student_layer)
-        tfeat_a, fake_y_t = teacher_a.forward_split(x, cfg.teacher_layer)
-        sp_a = sp_loss(semrel_matrix(tfeat_a), semrel_matrix(feat_a))
-    else:
-        fake_y = g_a.forward(x)
-        fake_y_t = teacher_a.forward(x) if use_kd else None
-        sp_a = _zero(x)
-
-    if use_sp_b:
-        feat_b, fake_x = g_b.forward_split(y, cfg.student_layer)
-        tfeat_b, fake_x_t = teacher_b.forward_split(y, cfg.teacher_layer)
-        sp_b = sp_loss(semrel_matrix(tfeat_b), semrel_matrix(feat_b))
-    else:
-        fake_x = g_b.forward(y)
-        fake_x_t = teacher_b.forward(y) if use_kd else None
-        sp_b = _zero(x)
+    sp_a, fake_y, fake_y_t = _translate(g_a, teacher_a, x, cfg, use_sp_a, use_kd)
+    sp_b, fake_x, fake_x_t = _translate(g_b, teacher_b, y, cfg, use_sp_b, use_kd)
 
     gan_a = adversarial_loss(d_a.forward(fake_y), True)
     gan_b = adversarial_loss(d_b.forward(fake_x), True)
@@ -235,14 +344,7 @@ def paired_objective(gen: Model, disc: Model, x: Tensor, y: Tensor,
     if (use_kd or use_sp) and teacher is None:
         raise ValueError("teacher required when alpha < 1 or gamma is nonzero")
 
-    if use_sp:
-        feat_s, fake = gen.forward_split(x, cfg.student_layer)
-        feat_t, y_t = teacher.forward_split(x, cfg.teacher_layer)
-        sp = sp_loss(semrel_matrix(feat_t), semrel_matrix(feat_s))
-    else:
-        fake = gen.forward(x)
-        y_t = teacher.forward(x) if use_kd else None
-        sp = _zero(x)
+    sp, fake, y_t = _translate(gen, teacher, x, cfg, use_sp, use_kd)
 
     gan = adversarial_loss(disc.forward(T.concat([x, fake], axis=1)), True)
     l1_gt = T.abs_mean(fake, y)

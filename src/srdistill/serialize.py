@@ -12,6 +12,7 @@ describing the architecture spec) followed by a sequence of
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -39,20 +40,32 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if buf[offset:offset + 4] != MAGIC:
         raise CodecError(f"bad magic {buf[offset:offset + 4]!r}, expected {MAGIC!r}")
     offset += 4
+    _need(buf, offset, 8, "tensor header")
     version, rank = struct.unpack_from("<II", buf, offset)
     offset += 8
     if version != VERSION:
         raise CodecError(f"unsupported tensor codec version {version}")
+    _need(buf, offset, 4 * rank, f"dims of a rank-{rank} tensor")
     dims = struct.unpack_from(f"<{rank}I", buf, offset)
     offset += 4 * rank
-    count = int(np.prod(dims)) if rank else 1
-    nbytes = 4 * count
+    nbytes = 4 * math.prod(dims)  # Python ints: no wrap-around on huge dims
+    _need(buf, offset, nbytes, "tensor payload")
+    arr = np.frombuffer(buf, dtype="<f4", count=nbytes // 4, offset=offset)
+    return arr.reshape(dims).copy(), offset + nbytes
+
+
+def _need(buf: bytes, offset: int, nbytes: int, what: str) -> None:
     if len(buf) - offset < nbytes:
-        raise CodecError(
-            f"truncated tensor payload: expected {nbytes} bytes, got {len(buf) - offset}"
-        )
-    arr = np.frombuffer(buf, dtype="<f4", count=count, offset=offset).reshape(dims)
-    return arr.copy(), offset + nbytes
+        raise CodecError(f"truncated {what}: expected {nbytes} bytes, "
+                         f"got {max(len(buf) - offset, 0)}")
+
+
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"{what} is not valid UTF-8: {exc.reason} "
+                         f"at byte {exc.start}") from None
 
 
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
@@ -84,25 +97,23 @@ def checkpoint_to_bytes(manifest: dict[str, str],
 
 
 def checkpoint_from_bytes(buf: bytes) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]:
-    if len(buf) < 4:
-        raise CodecError("truncated checkpoint: missing manifest length")
+    _need(buf, 0, 4, "checkpoint manifest length")
     (mlen,) = struct.unpack_from("<I", buf, 0)
     offset = 4
-    if len(buf) - offset < mlen:
-        raise CodecError("truncated checkpoint manifest")
+    _need(buf, offset, mlen, "checkpoint manifest")
     manifest: dict[str, str] = {}
-    for line in buf[offset:offset + mlen].decode().splitlines():
+    for line in _decode(buf[offset:offset + mlen], "checkpoint manifest").splitlines():
         if line.strip():
             key, _, value = line.partition("=")
             manifest[key] = value
     offset += mlen
     params: list[tuple[str, np.ndarray]] = []
     while offset < len(buf):
-        if len(buf) - offset < 4:
-            raise CodecError("truncated checkpoint: dangling record header")
+        _need(buf, offset, 4, "checkpoint record header")
         (nlen,) = struct.unpack_from("<I", buf, offset)
         offset += 4
-        name = buf[offset:offset + nlen].decode()
+        _need(buf, offset, nlen, "parameter name")
+        name = _decode(buf[offset:offset + nlen], "parameter name")
         offset += nlen
         arr, offset = tensor_from_bytes(buf, offset)
         params.append((name, arr))

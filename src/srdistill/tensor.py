@@ -3,7 +3,10 @@
 Everything is numpy-backed and CPU-only. A Tensor records the operation
 that produced it and its parent tensors; ``backward()`` on a scalar loss
 walks that graph in reverse topological order and accumulates gradients
-on every ancestor with ``requires_grad``. Image tensors are NCHW.
+on every leaf ancestor with ``requires_grad``. Intermediate nodes drop
+their gradient once it has been passed to their parents, so repeated
+walks over one graph accumulate into the leaves exactly once each.
+Image tensors are NCHW.
 
 Gradient conventions at kinks: relu/leaky_relu take the positive branch
 at exactly 0, the gradient of ``|x|`` at 0 is 0.
@@ -61,7 +64,7 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar on all requires-grad ancestors."""
+        """Accumulate gradients of this scalar on all requires-grad leaf ancestors."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
@@ -85,6 +88,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+                # only leaves keep a gradient: a later walk over a shared
+                # node must not pass this one on again
+                node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -11,6 +11,7 @@ import zlib
 
 import numpy as np
 
+from srdistill import losses as L
 from srdistill import tensor as T
 from srdistill.tensor import Tensor
 
@@ -191,6 +192,24 @@ def case_instance_norm(rng):
     return (lambda: T.square_mean(T.instance_norm(x), t)), {"x": x}
 
 
+def case_similarity_loss(rng):
+    # resample until every entry of the difference clears the |x| kink
+    while True:
+        n = int(rng.integers(1, 3))
+        ct, cs = _dims(rng, 2)
+        h, w = _dims(rng, 2, lo=2, hi=4)
+        t = rng.normal(size=(n, ct, h, w))
+        s = rng.uniform(-1.0, 1.0, (n, cs, h, w))
+        gap = min(np.abs(L.semrel_matrix(Tensor(s[k:k + 1])).values.data
+                         - L.semrel_matrix(Tensor(t[k:k + 1])).values.data).min()
+                  for k in range(n))
+        if gap > 1e-3:
+            break
+    teacher = Tensor(t)
+    student = Tensor(s, requires_grad=True)
+    return (lambda: L.similarity_loss(teacher, student)), {"student": student}
+
+
 OPS = {
     "add": case_add,
     "sub": case_sub,
@@ -214,6 +233,7 @@ OPS = {
     "conv2d_reflect": case_conv2d_reflect,
     "conv_transpose2d": case_conv_transpose2d,
     "instance_norm": case_instance_norm,
+    "similarity_loss": case_similarity_loss,
 }
 
 

@@ -1,8 +1,11 @@
 """Loss tests: similarity-matrix oracle, invariances, reduction identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from srdistill import losses as L
 from srdistill import tensor as T
 from srdistill.losses import (
     ActivationMatrix,
@@ -13,6 +16,7 @@ from srdistill.losses import (
     full_cycle_objective,
     paired_objective,
     semrel_matrix,
+    similarity_loss,
     sp_loss,
     vanilla_kd_cycle,
 )
@@ -284,3 +288,110 @@ def test_paired_objective_formula_and_reduction():
 def test_zero_features_give_zero_matrix_without_nan():
     vals = semrel_matrix(Tensor(np.zeros((1, 3, 2, 2)))).values.data
     assert np.array_equal(vals, np.zeros((4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# fused similarity loss against the explicit-matrix composite
+
+
+def _composite(teacher, student):
+    """sp_loss(semrel_matrix(t), semrel_matrix(s)); loss and student grad."""
+    s = Tensor(student.copy(), requires_grad=True)
+    loss = sp_loss(semrel_matrix(Tensor(teacher)), semrel_matrix(s))
+    loss.backward()
+    return float(loss.data), s.grad
+
+
+def _fused(teacher, student):
+    s = Tensor(student.copy(), requires_grad=True)
+    loss = similarity_loss(Tensor(teacher), s)
+    loss.backward()
+    return float(loss.data), s.grad
+
+
+def _features(seed, ct, cs, h, w, n=1, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    teacher = np.maximum(rng.normal(size=(n, ct, h, w)), 0.0)  # post-ReLU
+    student = rng.normal(size=(n, cs, h, w))
+    return teacher.astype(dtype), student.astype(dtype)
+
+
+# (block entries, P): one block; rows not dividing P; one row per block
+@pytest.mark.parametrize("block, hw", [(L.BLOCK_ELEMS, (5, 7)),
+                                       (4 * 35, (5, 7)),
+                                       (7, (3, 4))])
+def test_similarity_loss_matches_composite_float64(monkeypatch, block, hw):
+    monkeypatch.setattr(L, "BLOCK_ELEMS", block)
+    teacher, student = _features(10, 6, 3, *hw)
+    want_loss, want_grad = _composite(teacher, student)
+    got_loss, got_grad = _fused(teacher, student)
+    assert abs(got_loss - want_loss) < 1e-12
+    assert np.max(np.abs(got_grad - want_grad)) < 1e-12
+
+
+def test_similarity_loss_float32_accuracy():
+    teacher, student = _features(11, 16, 8, 24, 20)
+    ref_loss, ref_grad = _composite(teacher, student)  # float64 reference
+    t32, s32 = teacher.astype(np.float32), student.astype(np.float32)
+    loss32, _ = _composite(t32, s32)
+    got_loss, got_grad = _fused(t32, s32)
+    assert got_grad.dtype == np.float32
+    assert abs(got_loss - loss32) <= 1e-5 * loss32
+    ref_norm = np.linalg.norm(ref_grad)
+    assert abs(np.linalg.norm(got_grad.astype(np.float64)) - ref_norm) <= 1e-5 * ref_norm
+
+
+def test_similarity_loss_zero_columns_give_zero_rows_without_nan():
+    teacher, student = _features(12, 4, 3, 4, 4)
+    student[0, :, 1, 2] = 0.0  # dead pixel positions on both sides
+    teacher[0, :, 3, 0] = 0.0
+    want_loss, want_grad = _composite(teacher, student)
+    got_loss, got_grad = _fused(teacher, student)
+    assert np.isfinite(got_loss) and np.isfinite(got_grad).all()
+    assert abs(got_loss - want_loss) < 1e-12
+    assert np.max(np.abs(got_grad - want_grad)) < 1e-12
+    zero_loss, zero_grad = _fused(np.zeros((1, 2, 3, 3)), np.zeros((1, 3, 3, 3)))
+    assert zero_loss == 0.0 and np.array_equal(zero_grad, np.zeros((1, 3, 3, 3)))
+
+
+def test_similarity_loss_gives_the_teacher_no_gradient():
+    teacher, student = _features(13, 4, 2, 3, 3)
+    t = Tensor(teacher, requires_grad=True)
+    s = Tensor(student, requires_grad=True)
+    similarity_loss(t, s).backward()
+    assert t.grad is None
+    assert s.grad is not None and np.any(s.grad != 0.0)
+
+
+def test_similarity_loss_batch_is_the_mean_over_samples():
+    teacher, student = _features(14, 5, 3, 3, 4, n=2)
+    got_loss, got_grad = _fused(teacher, student)
+    loss0, grad0 = _fused(teacher[:1], student[:1])
+    loss1, grad1 = _fused(teacher[1:], student[1:])
+    assert got_loss == pytest.approx(0.5 * (loss0 + loss1), abs=1e-15)
+    assert np.max(np.abs(got_grad - 0.5 * np.concatenate([grad0, grad1]))) < 1e-15
+
+
+def test_similarity_loss_shape_errors():
+    with pytest.raises(ShapeError) as exc:
+        similarity_loss(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 2, 2, 2))))
+    assert "4x4" in str(exc.value) and "2x2" in str(exc.value)
+    with pytest.raises(ShapeError):
+        similarity_loss(Tensor(np.ones((2, 2, 2, 2))), Tensor(np.ones((1, 2, 2, 2))))
+    with pytest.raises(ShapeError):
+        similarity_loss(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 2, 4, 4))))
+
+
+def test_similarity_loss_memory_at_p4096():
+    # the composite peaks near 450 MB here: six 64 MB P x P buffers
+    teacher, student = _features(15, 16, 8, 64, 64, dtype=np.float32)
+    t = Tensor(teacher)
+    s = Tensor(student, requires_grad=True)
+    tracemalloc.start()
+    try:
+        similarity_loss(t, s).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.grad is not None
+    assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"

@@ -1,5 +1,7 @@
 """Tensor codec and checkpoint round-trip tests."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,3 +111,31 @@ def test_write_is_atomic_replace(tmp_path):
     write_tensor(path, np.ones(3, dtype=np.float32))
     assert np.array_equal(read_tensor(path), np.ones(3, dtype=np.float32))
     assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
+
+
+def test_rank_beyond_the_buffer_is_a_codec_error():
+    with pytest.raises(CodecError):
+        tensor_from_bytes(MAGIC + struct.pack("<II", 1, 10 ** 6))
+    with pytest.raises(CodecError):
+        tensor_from_bytes(MAGIC + struct.pack("<I", 1))  # header cut short
+
+
+def test_dims_whose_product_overflows_int64_are_a_codec_error():
+    # 65536**4 == 2**64 wraps to 0 in int64 arithmetic
+    buf = MAGIC + struct.pack("<II4I", 1, 4, *(65536,) * 4)
+    with pytest.raises(CodecError):
+        tensor_from_bytes(buf)
+
+
+def test_non_utf8_manifest_is_a_codec_error():
+    buf = struct.pack("<I", 2) + b"\xff\xfe"
+    with pytest.raises(CodecError):
+        checkpoint_from_bytes(buf)
+
+
+def test_non_utf8_parameter_name_is_a_codec_error():
+    good = checkpoint_to_bytes({}, [("ab", np.zeros(1, dtype=np.float32))])
+    buf = good.replace(b"ab", b"\xc3\x28", 1)
+    with pytest.raises(CodecError):
+        checkpoint_from_bytes(buf)
+

@@ -228,6 +228,24 @@ def test_backward_accumulates_over_fanout():
     assert np.max(np.abs(a.grad - 8.0 * a.data)) < 1e-12
 
 
+def test_repeated_backward_accumulates_once_per_walk():
+    x = Tensor(np.array([[1.0, -3.0]]), requires_grad=True)
+    loss = T.reduce_sum(T.scale(x, 2.0))
+    loss.backward()
+    loss.backward()
+    assert np.array_equal(x.grad, np.full((1, 2), 4.0))
+
+
+def test_backward_over_a_shared_node_counts_each_loss_once():
+    # l1 = sum(2x), l2 = sum((2x)^2): dl1/dx = 2, dl2/dx = 8x
+    x = Tensor(np.array([[0.5, -1.5]]), requires_grad=True)
+    y = T.scale(x, 2.0)
+    T.reduce_sum(y).backward()
+    T.reduce_sum(T.mul(y, y)).backward()
+    assert np.max(np.abs(x.grad - (2.0 + 8.0 * x.data))) < 1e-12
+    assert y.grad is None  # intermediate nodes keep no gradient
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):

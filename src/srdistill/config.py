@@ -1,8 +1,6 @@
-"""Flat key=value config files: parsing, formatting, typed access, overrides."""
+"""Flat key=value text: the one parser and formatter for every manifest."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -10,7 +8,10 @@ class ConfigError(ValueError):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse `key=value` lines; blank lines and # comments are skipped."""
+    """Parse `key=value` lines; blank lines and # comments are skipped.
+
+    A line without `=`, an empty key or a repeated key is a ConfigError.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -22,74 +23,11 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         out[key] = value.strip()
     return out
 
 
 def format_config(cfg: dict[str, str]) -> str:
     return "".join(f"{k}={v}\n" for k, v in cfg.items())
-
-
-def read_config(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text())
-
-
-def write_config(path: str | Path, cfg: dict[str, str]) -> None:
-    Path(path).write_text(format_config(cfg))
-
-
-def apply_overrides(cfg: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Apply `key=value` strings on top of cfg, last occurrence winning."""
-    out = dict(cfg)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"override {item!r} has an empty key")
-        out[key] = value.strip()
-    return out
-
-
-def get_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    if key in cfg:
-        return cfg[key]
-    if default is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    return default
-
-
-def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not an integer")
-
-
-def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not a number")
-
-
-def get_bool(cfg: dict[str, str], key: str, default: bool | None = None) -> bool:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    value = cfg[key].lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"config key {key!r}: {cfg[key]!r} is not a boolean")

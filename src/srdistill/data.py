@@ -334,13 +334,6 @@ def read_image(path) -> np.ndarray:
     return _read_netpbm(path)[1]
 
 
-def write_image(path, arr: np.ndarray) -> None:
-    if arr.ndim == 2:
-        write_pgm(path, arr)
-    else:
-        write_ppm(path, arr)
-
-
 # ---------------------------------------------------------------------------
 # tensor mapping
 

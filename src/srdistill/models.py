@@ -7,6 +7,15 @@ stride-1 convolution into tanh. The alternative is a fixed 8-level UNet
 for 256x256 inputs. Discriminators are patch classifiers built from 4x4
 convolutions.
 
+Every model is one ``Model``: an ordered list of named stages, each a list
+of layers, and every stage name is a feature tap. A UNet's taps are
+``down1``..``down8`` then ``up8``..``up1``. The UNet's skip connections are
+data, a map ``{"up{k}": "down{k-1}"}``: after the layers of ``up{k}`` the
+saved output of ``down{k-1}`` is concatenated in front of its output along
+channels. One private walk, ``Model._walk``, runs the stages for
+``forward``/``forward_split`` and tracks shapes for ``count_macs``.
+Parameter-free layers (norm, activations) are one class, ``Pointwise``.
+
 Conventions that pin the parameter counts: instance norm carries no
 learnable affine, every convolution carries a bias, the stem / residual /
 head convolutions use reflection padding while all stride-2 convolutions
@@ -27,7 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .serialize import read_checkpoint, write_checkpoint
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 WEIGHT_STD = 0.02
 
@@ -153,48 +162,19 @@ class ConvTranspose2d:
         return n * i * h * w * o * kh * kw, (n, o, oh, ow)
 
 
-class InstanceNorm:
-    def __init__(self, eps: float = 1e-5):
-        self.eps = eps
+class Pointwise:
+    """A parameter-free layer applying ``T.<op>(x, *args)``.
+
+    The op is looked up on the tensor module at call time, so a function
+    swapped onto ``srdistill.tensor`` after the model is built still runs.
+    """
+
+    def __init__(self, op: str, *args):
+        self.op = op
+        self.args = args
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.instance_norm(x, eps=self.eps)
-
-    def param_items(self):
-        return []
-
-    def shape_macs(self, shape):
-        return 0, shape
-
-
-class ReLU:
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.relu(x)
-
-    def param_items(self):
-        return []
-
-    def shape_macs(self, shape):
-        return 0, shape
-
-
-class LeakyReLU:
-    def __init__(self, slope: float = 0.2):
-        self.slope = slope
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.leaky_relu(x, self.slope)
-
-    def param_items(self):
-        return []
-
-    def shape_macs(self, shape):
-        return 0, shape
-
-
-class Tanh:
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.tanh(x)
+        return getattr(T, self.op)(x, *self.args)
 
     def param_items(self):
         return []
@@ -209,10 +189,10 @@ class ResBlock:
     def __init__(self, channels: int, *, rng: np.random.Generator, dtype=np.float64):
         self.conv1 = Conv2d(channels, channels, 3, padding=1, pad_mode="reflect",
                             rng=rng, dtype=dtype)
-        self.norm1 = InstanceNorm()
+        self.norm1 = Pointwise("instance_norm")
         self.conv2 = Conv2d(channels, channels, 3, padding=1, pad_mode="reflect",
                             rng=rng, dtype=dtype)
-        self.norm2 = InstanceNorm()
+        self.norm2 = Pointwise("instance_norm")
 
     def __call__(self, x: Tensor) -> Tensor:
         h = T.relu(self.norm1(self.conv1(x)))
@@ -235,20 +215,25 @@ class ResBlock:
 
 
 class Model:
-    """Ordered named stages with a declared default feature tap."""
+    """Ordered named stages with a declared default feature tap.
+
+    ``skips`` maps a stage to an earlier one whose output is concatenated in
+    front of the stage's own output, along channels.
+    """
 
     def __init__(self, stages: list[tuple[str, list]], default_tap: str | None,
-                 manifest: dict[str, str]):
+                 manifest: dict[str, str], skips: dict[str, str] | None = None):
         self._stages = stages
         self.default_tap = default_tap
         self.manifest = manifest
+        self._skips = skips or {}
 
     @property
     def taps(self) -> list[str]:
         return [name for name, _ in self._stages]
 
     def forward(self, x: Tensor) -> Tensor:
-        return self._run(x, None)[1]
+        return self._walk(x, None, _apply, _concat)[1]
 
     def forward_split(self, x: Tensor, layer: str | None = None
                       ) -> tuple[Tensor, Tensor]:
@@ -256,16 +241,26 @@ class Model:
         tap = layer if layer is not None else self.default_tap
         if tap not in self.taps:
             raise KeyError(f"unknown distill layer {tap!r}; taps are {self.taps}")
-        feat, out = self._run(x, tap)
+        feat, out = self._walk(x, tap, _apply, _concat)
         assert feat is not None
         return feat, out
 
-    def _run(self, x: Tensor, tap: str | None) -> tuple[Tensor | None, Tensor]:
+    def _walk(self, h, tap: str | None, step, join):
+        """Run ``h = step(layer, h)`` through every stage; return (h at tap, h).
+
+        After a stage with a skip source, ``h = join(source output, h)``.
+        Only outputs some later stage joins are kept, each until its use.
+        """
+        sources = set(self._skips.values())
+        saved = {}
         feat = None
-        h = x
         for name, layers in self._stages:
             for layer in layers:
-                h = layer(h)
+                h = step(layer, h)
+            if name in self._skips:
+                h = join(saved.pop(self._skips[name]), h)
+            if name in sources:
+                saved[name] = h
             if name == tap:
                 feat = h
         return feat, h
@@ -298,64 +293,26 @@ class Model:
 
     def count_macs(self, shape) -> int:
         total = 0
-        for _, layers in self._stages:
-            for layer in layers:
-                m, shape = layer.shape_macs(shape)
-                total += m
+
+        def step(layer, shape):
+            nonlocal total
+            macs, shape = layer.shape_macs(shape)
+            total += macs
+            return shape
+
+        def join(skip, shape):
+            return (shape[0], skip[1] + shape[1], *shape[2:])
+
+        self._walk(shape, None, step, join)
         return total
 
 
-class UnetModel(Model):
-    """Fixed 8-level UNet; skip connections concatenate mirror-level features.
+def _apply(layer, h: Tensor) -> Tensor:
+    return layer(h)
 
-    Taps ``down1``..``down8`` expose the activation after each downsampling
-    stage (its convolution plus norm where present).
-    """
 
-    def __init__(self, downs: list[list], ups: list[list], manifest: dict[str, str],
-                 default_tap: str = "down3"):
-        self.downs = downs  # index k-1 = k-th downsampling stage
-        self.ups = ups      # index k-1 = upsampling stage mirroring down k
-        stages = [(f"down{k}", layers) for k, layers in enumerate(downs, 1)]
-        stages += [(f"up{k}", layers) for k, layers in
-                   zip(range(len(ups), 0, -1), reversed(ups))]
-        super().__init__(stages, default_tap, manifest)
-
-    def _run(self, x: Tensor, tap: str | None) -> tuple[Tensor | None, Tensor]:
-        feat = None
-        skips: list[Tensor] = []
-        h = x
-        for k, layers in enumerate(self.downs, 1):
-            for layer in layers:
-                h = layer(h)
-            skips.append(h)
-            if tap == f"down{k}":
-                feat = h
-        for k in range(len(self.ups), 0, -1):
-            for layer in self.ups[k - 1]:
-                h = layer(h)
-            if k > 1:
-                h = T.concat([skips[k - 2], h], axis=1)
-            if tap == f"up{k}":
-                feat = h
-        return feat, h
-
-    def count_macs(self, shape) -> int:
-        total = 0
-        widths = []
-        for layers in self.downs:
-            for layer in layers:
-                m, shape = layer.shape_macs(shape)
-                total += m
-            widths.append(shape)
-        for k in range(len(self.ups), 0, -1):
-            for layer in self.ups[k - 1]:
-                m, shape = layer.shape_macs(shape)
-                total += m
-            if k > 1:
-                skip = widths[k - 2]
-                shape = (shape[0], shape[1] + skip[1], shape[2], shape[3])
-        return total
+def _concat(skip: Tensor, h: Tensor) -> Tensor:
+    return T.concat([skip, h], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,59 +330,57 @@ def build_generator(spec: GeneratorSpec, rng: np.random.Generator | None = None,
 
 def _build_resnet_generator(spec: GeneratorSpec, rng, dtype) -> Model:
     ngf = spec.ngf
+
+    def with_norm_relu(conv) -> list:
+        return [conv, Pointwise("instance_norm"), Pointwise("relu")]
+
     stages: list[tuple[str, list]] = [
-        ("stem", [Conv2d(spec.in_channels, ngf, 7, padding=3, pad_mode="reflect",
-                         rng=rng, dtype=dtype), InstanceNorm(), ReLU()]),
-        ("down1", [Conv2d(ngf, 2 * ngf, 3, stride=2, padding=1, rng=rng,
-                          dtype=dtype), InstanceNorm(), ReLU()]),
-        ("down2", [Conv2d(2 * ngf, 4 * ngf, 3, stride=2, padding=1, rng=rng,
-                          dtype=dtype), InstanceNorm(), ReLU()]),
+        ("stem", with_norm_relu(Conv2d(spec.in_channels, ngf, 7, padding=3,
+                                       pad_mode="reflect", rng=rng, dtype=dtype))),
+        ("down1", with_norm_relu(Conv2d(ngf, 2 * ngf, 3, stride=2, padding=1,
+                                        rng=rng, dtype=dtype))),
+        ("down2", with_norm_relu(Conv2d(2 * ngf, 4 * ngf, 3, stride=2, padding=1,
+                                        rng=rng, dtype=dtype))),
     ]
     for b in range(1, spec.n_blocks + 1):
         stages.append((f"res{b}", [ResBlock(4 * ngf, rng=rng, dtype=dtype)]))
     stages += [
-        ("up1", [ConvTranspose2d(4 * ngf, 2 * ngf, 3, stride=2, padding=1,
-                                 output_padding=1, rng=rng, dtype=dtype),
-                 InstanceNorm(), ReLU()]),
-        ("up2", [ConvTranspose2d(2 * ngf, ngf, 3, stride=2, padding=1,
-                                 output_padding=1, rng=rng, dtype=dtype),
-                 InstanceNorm(), ReLU()]),
+        ("up1", with_norm_relu(ConvTranspose2d(4 * ngf, 2 * ngf, 3, stride=2,
+                                               padding=1, output_padding=1,
+                                               rng=rng, dtype=dtype))),
+        ("up2", with_norm_relu(ConvTranspose2d(2 * ngf, ngf, 3, stride=2,
+                                               padding=1, output_padding=1,
+                                               rng=rng, dtype=dtype))),
         ("head", [Conv2d(ngf, spec.out_channels, 7, padding=3, pad_mode="reflect",
-                         rng=rng, dtype=dtype), Tanh()]),
+                         rng=rng, dtype=dtype), Pointwise("tanh")]),
     ]
     return Model(stages, default_tap=f"res{spec.n_blocks}", manifest=spec.manifest())
 
 
-def _build_unet_generator(spec: GeneratorSpec, rng, dtype) -> UnetModel:
+def _build_unet_generator(spec: GeneratorSpec, rng, dtype) -> Model:
     ngf = spec.ngf
-    down_ch = [spec.in_channels, ngf, 2 * ngf, 4 * ngf, 8 * ngf, 8 * ngf,
-               8 * ngf, 8 * ngf, 8 * ngf]
-    downs: list[list] = []
+    # channels out of down stage k, at index k
+    down_ch = [spec.in_channels, ngf, 2 * ngf, 4 * ngf] + [8 * ngf] * 5
+    stages: list[tuple[str, list]] = []
     for k in range(1, 9):
-        layers: list = []
-        if k > 1:
-            layers.append(LeakyReLU(0.2))
+        layers: list = [Pointwise("leaky_relu", 0.2)] if k > 1 else []
         layers.append(Conv2d(down_ch[k - 1], down_ch[k], 4, stride=2, padding=1,
                              rng=rng, dtype=dtype))
         if 1 < k < 8:
-            layers.append(InstanceNorm())
-        downs.append(layers)
-
-    # up stage k mirrors down stage k; its input concatenates the skip from
-    # down k-1, doubling channels everywhere except at the innermost level
-    ups: list[list] = [[] for _ in range(8)]
-    out_ch = [spec.out_channels, ngf, 2 * ngf, 4 * ngf, 8 * ngf, 8 * ngf,
-              8 * ngf, 8 * ngf]
+            layers.append(Pointwise("instance_norm"))
+        stages.append((f"down{k}", layers))
+    # up stage k mirrors down stage k. Below the innermost level its input
+    # also carries down k's output, joined after up k+1, doubling channels.
     for k in range(8, 0, -1):
         in_ch = down_ch[k] if k == 8 else 2 * down_ch[k]
-        layers = [ReLU(), ConvTranspose2d(in_ch, out_ch[k - 1], 4, stride=2,
-                                          padding=1, rng=rng, dtype=dtype)]
-        if k > 1:
-            layers.append(InstanceNorm())
-        else:
-            layers.append(Tanh())
-        ups[k - 1] = layers
-    return UnetModel(downs, ups, manifest=spec.manifest())
+        out_ch = down_ch[k - 1] if k > 1 else spec.out_channels
+        stages.append((f"up{k}", [
+            Pointwise("relu"),
+            ConvTranspose2d(in_ch, out_ch, 4, stride=2, padding=1, rng=rng,
+                            dtype=dtype),
+            Pointwise("instance_norm" if k > 1 else "tanh")]))
+    skips = {f"up{k}": f"down{k - 1}" for k in range(2, 9)}
+    return Model(stages, default_tap="down3", manifest=spec.manifest(), skips=skips)
 
 
 def build_discriminator(spec: DiscriminatorSpec, rng: np.random.Generator | None = None,
@@ -436,18 +391,16 @@ def build_discriminator(spec: DiscriminatorSpec, rng: np.random.Generator | None
     ndf = spec.ndf
     stages: list[tuple[str, list]] = [
         ("layer0", [Conv2d(spec.in_channels, ndf, 4, stride=2, padding=1,
-                           rng=rng, dtype=dtype), LeakyReLU(0.2)]),
+                           rng=rng, dtype=dtype), Pointwise("leaky_relu", 0.2)]),
     ]
     mult = 1
-    for i in range(1, spec.n_layers):
+    for i in range(1, spec.n_layers + 1):
         prev, mult = mult, min(2 ** i, 8)
+        stride = 2 if i < spec.n_layers else 1
         stages.append((f"layer{i}", [
-            Conv2d(ndf * prev, ndf * mult, 4, stride=2, padding=1, rng=rng,
-                   dtype=dtype), InstanceNorm(), LeakyReLU(0.2)]))
-    prev, mult = mult, min(2 ** spec.n_layers, 8)
-    stages.append((f"layer{spec.n_layers}", [
-        Conv2d(ndf * prev, ndf * mult, 4, stride=1, padding=1, rng=rng,
-               dtype=dtype), InstanceNorm(), LeakyReLU(0.2)]))
+            Conv2d(ndf * prev, ndf * mult, 4, stride=stride, padding=1, rng=rng,
+                   dtype=dtype),
+            Pointwise("instance_norm"), Pointwise("leaky_relu", 0.2)]))
     stages.append(("head", [Conv2d(ndf * mult, 1, 4, stride=1, padding=1,
                                    rng=rng, dtype=dtype)]))
     return Model(stages, default_tap=None, manifest=spec.manifest())

@@ -6,8 +6,9 @@ All multi-byte integers are little-endian. Values are stored as float32
 regardless of the in-memory dtype.
 
 A checkpoint is one length-prefixed UTF-8 manifest (key=value lines
-describing the architecture spec) followed by a sequence of
-(u32 name length, name bytes, SRDT tensor payload) records.
+describing the architecture spec, in the ``config`` format) followed by a
+sequence of (u32 name length, name bytes, SRDT tensor payload) records
+with distinct names.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from .config import ConfigError, format_config, parse_config_text
 
 MAGIC = b"SRDT"
 VERSION = 1
@@ -86,7 +89,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 def checkpoint_to_bytes(manifest: dict[str, str],
                         params: list[tuple[str, np.ndarray]]) -> bytes:
-    lines = "".join(f"{k}={v}\n" for k, v in manifest.items()).encode()
+    lines = format_config(manifest).encode()
     chunks = [struct.pack("<I", len(lines)), lines]
     for name, arr in params:
         nb = name.encode()
@@ -101,19 +104,23 @@ def checkpoint_from_bytes(buf: bytes) -> tuple[dict[str, str], list[tuple[str, n
     (mlen,) = struct.unpack_from("<I", buf, 0)
     offset = 4
     _need(buf, offset, mlen, "checkpoint manifest")
-    manifest: dict[str, str] = {}
-    for line in _decode(buf[offset:offset + mlen], "checkpoint manifest").splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            manifest[key] = value
+    try:
+        manifest = parse_config_text(_decode(buf[offset:offset + mlen],
+                                             "checkpoint manifest"))
+    except ConfigError as exc:
+        raise CodecError(f"checkpoint manifest: {exc}") from None
     offset += mlen
     params: list[tuple[str, np.ndarray]] = []
+    seen: set[str] = set()
     while offset < len(buf):
         _need(buf, offset, 4, "checkpoint record header")
         (nlen,) = struct.unpack_from("<I", buf, offset)
         offset += 4
         _need(buf, offset, nlen, "parameter name")
         name = _decode(buf[offset:offset + nlen], "parameter name")
+        if name in seen:
+            raise CodecError(f"repeated parameter name {name!r}")
+        seen.add(name)
         offset += nlen
         arr, offset = tensor_from_bytes(buf, offset)
         params.append((name, arr))

@@ -84,7 +84,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        _accum(self, np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from srdistill import tensor as T
 from srdistill.models import (
     DiscriminatorSpec,
     GeneratorSpec,
     build_discriminator,
     build_generator,
+    build_model,
     count_flops,
     count_params,
     load_model,
@@ -191,3 +193,77 @@ def test_set_requires_grad_toggles_and_clears():
     assert all(not t.requires_grad for t in g.params())
     g.set_requires_grad(True)
     assert all(t.requires_grad for t in g.params())
+
+
+def _count_conv_macs(monkeypatch):
+    """Wrap the two conv ops so a real forward tallies its MACs."""
+    seen = [0]
+    conv2d, conv_t = T.conv2d, T.conv_transpose2d
+
+    def counted_conv2d(x, w, b, **kw):
+        out = conv2d(x, w, b, **kw)
+        n, o, oh, ow = out.shape
+        seen[0] += n * o * oh * ow * w.shape[1] * w.shape[2] * w.shape[3]
+        return out
+
+    def counted_conv_t(x, w, b, **kw):
+        n, i, h, wd = x.shape
+        seen[0] += n * i * h * wd * w.shape[1] * w.shape[2] * w.shape[3]
+        return conv_t(x, w, b, **kw)
+
+    monkeypatch.setattr(T, "conv2d", counted_conv2d)
+    monkeypatch.setattr(T, "conv_transpose2d", counted_conv_t)
+    return seen
+
+
+@pytest.mark.parametrize("spec,resolution,expected", [
+    (GeneratorSpec("unet", 2, resolution=256), 256, 10_477_568),
+    (GeneratorSpec("resnet", 4, 2, resolution=64), 64, 8_355_840),
+    (DiscriminatorSpec(ndf=4, in_channels=6), 64, 1_075_200),
+])
+def test_count_macs_matches_a_real_forward(monkeypatch, spec, resolution,
+                                           expected):
+    model = build_model(spec, dtype=np.float32)
+    shape = (1, spec.in_channels, resolution, resolution)
+    seen = _count_conv_macs(monkeypatch)
+    model.forward(Tensor(np.zeros(shape, dtype=np.float32)))
+    assert seen[0] == model.count_macs(shape) == expected
+
+
+@pytest.mark.parametrize("spec,expected", [
+    (GeneratorSpec("resnet", 64), 99_103_014_912),
+    (GeneratorSpec("unet", 64), 12_096_372_736),
+    (DiscriminatorSpec(ndf=64), 6_293_618_688),
+    (DiscriminatorSpec(ndf=64, in_channels=6), 6_394_281_984),
+])
+def test_count_flops_at_256_px(spec, expected):
+    assert count_flops(build_model(spec, dtype=np.float32), 256) == expected
+
+
+def test_unet_taps_and_parameter_order():
+    g = build_generator(GeneratorSpec("unet", 2, resolution=256),
+                        dtype=np.float32)
+    assert g.taps == ([f"down{k}" for k in range(1, 9)]
+                      + [f"up{k}" for k in range(8, 0, -1)])
+    names = [n for n, _ in g.named_params()]
+    assert names[:2] == ["down1.0.weight", "down1.0.bias"]
+    assert names[-2:] == ["up1.1.weight", "up1.1.bias"]
+    assert len(names) == 32  # one conv per stage, weight and bias each
+
+
+def test_layers_look_their_op_up_at_call_time(monkeypatch):
+    g = build_generator(GeneratorSpec("resnet", 4, 1, resolution=32),
+                        dtype=np.float32)
+    d = build_discriminator(DiscriminatorSpec(ndf=4), dtype=np.float32)
+    calls = {}
+    for op in ("relu", "leaky_relu", "tanh", "instance_norm"):
+        def counted(*args, _fn=getattr(T, op), _op=op, **kw):
+            calls[_op] = calls.get(_op, 0) + 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(T, op, counted)
+    x = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
+    d.forward(g.forward(x))
+    # generator: stem, down1/2, one block (two norms), up1/2, head;
+    # discriminator: layer0..layer3, normed from layer1 on
+    assert calls == {"relu": 6, "tanh": 1, "leaky_relu": 4,
+                     "instance_norm": 7 + 3}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srdistill.config import ConfigError, parse_config_text
 from srdistill.serialize import (
     MAGIC,
     CodecError,
@@ -139,3 +140,29 @@ def test_non_utf8_parameter_name_is_a_codec_error():
     with pytest.raises(CodecError):
         checkpoint_from_bytes(buf)
 
+
+
+def _with_manifest(text: bytes) -> bytes:
+    return struct.pack("<I", len(text)) + text
+
+
+def test_manifest_line_without_equals_is_a_codec_error():
+    with pytest.raises(CodecError):
+        checkpoint_from_bytes(_with_manifest(b"kindXresnet\n"))
+
+
+def test_repeated_manifest_key_in_a_checkpoint_is_a_codec_error():
+    with pytest.raises(CodecError):
+        checkpoint_from_bytes(_with_manifest(b"kind=resnet\nkind=unet\n"))
+
+
+def test_repeated_key_in_a_config_text_is_rejected():
+    with pytest.raises(ConfigError):
+        parse_config_text("a=1\na=2\n")
+
+
+def test_repeated_parameter_name_is_a_codec_error():
+    w = np.zeros(1, dtype=np.float32)
+    buf = checkpoint_to_bytes({}, [("w", w), ("w", w)])
+    with pytest.raises(CodecError):
+        checkpoint_from_bytes(buf)

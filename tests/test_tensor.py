@@ -246,6 +246,19 @@ def test_backward_over_a_shared_node_counts_each_loss_once():
     assert y.grad is None  # intermediate nodes keep no gradient
 
 
+def test_backward_on_a_leaf_scalar_accumulates():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    x.backward()
+    x.backward()
+    assert x.grad == 2.0
+
+
+def test_backward_on_a_no_grad_leaf_leaves_no_gradient():
+    x = Tensor(np.array(3.0))
+    x.backward()
+    assert x.grad is None
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):

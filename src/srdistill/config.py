@@ -30,4 +30,17 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def format_config(cfg: dict[str, str]) -> str:
+    """Format `key=value` lines that :func:`parse_config_text` reads back as `cfg`.
+
+    A key or value it would read back differently is a ConfigError: an empty
+    key, a key that starts with `#` or holds `=`, surrounding whitespace, or
+    a line break anywhere.
+    """
+    for key, value in cfg.items():
+        if not key or key.startswith("#") or "=" in key:
+            raise ConfigError(f"key {key!r} cannot be written")
+        for part in (key, value):
+            if part != part.strip() or len(part.splitlines()) > 1:
+                raise ConfigError(f"{key!r}={value!r}: surrounding whitespace "
+                                  f"or a line break cannot be written")
     return "".join(f"{k}={v}\n" for k, v in cfg.items())

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import format_config, parse_config_text
-from .serialize import CodecError
+from .serialize import CodecError, manifest_value
 
 # paired-task palette: class id -> RGB
 PALETTE = np.array([
@@ -395,14 +395,15 @@ def load_unpaired(root) -> tuple[UnpairedDatasetSpec, UnpairedDataset]:
         raise ValueError(f"{root}: manifest kind {m.get('kind')!r}, "
                          f"expected 'unpaired'")
     spec = UnpairedDatasetSpec(
-        resolution=int(m["resolution"]),
-        train_samples=int(m["train_samples"]),
-        test_samples=int(m["test_samples"]),
-        coverage=(float(m["coverage_lo"]), float(m["coverage_hi"])),
-        stripe_period=int(m["stripe_period"]),
-        stripe_contrast=float(m["stripe_contrast"]),
-        noise=float(m["noise"]),
-        seed=int(m["seed"]),
+        resolution=manifest_value(m, "resolution", int),
+        train_samples=manifest_value(m, "train_samples", int),
+        test_samples=manifest_value(m, "test_samples", int),
+        coverage=(manifest_value(m, "coverage_lo", float),
+                  manifest_value(m, "coverage_hi", float)),
+        stripe_period=manifest_value(m, "stripe_period", int),
+        stripe_contrast=manifest_value(m, "stripe_contrast", float),
+        noise=manifest_value(m, "noise", float),
+        seed=manifest_value(m, "seed", int),
     )
     train_a, mask_train_a = _read_domain(root, "trainA")
     train_b, mask_train_b = _read_domain(root, "trainB")
@@ -431,11 +432,11 @@ def load_paired(root) -> tuple[PairedDatasetSpec, list[PairedSample], list[Paire
         raise ValueError(f"{root}: manifest kind {m.get('kind')!r}, "
                          f"expected 'paired'")
     spec = PairedDatasetSpec(
-        resolution=int(m["resolution"]),
-        train_samples=int(m["train_samples"]),
-        test_samples=int(m["test_samples"]),
-        noise=float(m["noise"]),
-        seed=int(m["seed"]),
+        resolution=manifest_value(m, "resolution", int),
+        train_samples=manifest_value(m, "train_samples", int),
+        test_samples=manifest_value(m, "test_samples", int),
+        noise=manifest_value(m, "noise", float),
+        seed=manifest_value(m, "seed", int),
     )
     splits = []
     for name in ("train", "test"):

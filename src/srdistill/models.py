@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from . import tensor as T
-from .serialize import read_checkpoint, write_checkpoint
+from .serialize import manifest_value, read_checkpoint, write_checkpoint
 from .tensor import Tensor
 
 WEIGHT_STD = 0.02
@@ -407,17 +407,20 @@ def build_discriminator(spec: DiscriminatorSpec, rng: np.random.Generator | None
 
 
 def spec_from_manifest(manifest: dict[str, str]) -> GeneratorSpec | DiscriminatorSpec:
+    """Spec of a checkpoint manifest; a missing or non-integer field is a CodecError."""
     kind = manifest.get("kind")
+
+    def num(key: str) -> int:
+        return manifest_value(manifest, key, int)
+
     if kind in ("resnet", "unet"):
         return GeneratorSpec(
-            kind=kind, ngf=int(manifest["ngf"]), n_blocks=int(manifest["n_blocks"]),
-            in_channels=int(manifest["in_channels"]),
-            out_channels=int(manifest["out_channels"]),
-            resolution=int(manifest["resolution"]))
+            kind=kind, ngf=num("ngf"), n_blocks=num("n_blocks"),
+            in_channels=num("in_channels"), out_channels=num("out_channels"),
+            resolution=num("resolution"))
     if kind == "patchgan":
-        return DiscriminatorSpec(ndf=int(manifest["ndf"]),
-                                 n_layers=int(manifest["n_layers"]),
-                                 in_channels=int(manifest["in_channels"]))
+        return DiscriminatorSpec(ndf=num("ndf"), n_layers=num("n_layers"),
+                                 in_channels=num("in_channels"))
     raise ValueError(f"unknown model kind in manifest: {kind!r}")
 
 

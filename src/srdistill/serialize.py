@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -89,7 +90,10 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 def checkpoint_to_bytes(manifest: dict[str, str],
                         params: list[tuple[str, np.ndarray]]) -> bytes:
-    lines = format_config(manifest).encode()
+    try:
+        lines = format_config(manifest).encode()
+    except ConfigError as exc:
+        raise CodecError(f"checkpoint manifest: {exc}") from None
     chunks = [struct.pack("<I", len(lines)), lines]
     for name, arr in params:
         nb = name.encode()
@@ -136,9 +140,28 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[tuple[str, n
     return checkpoint_from_bytes(Path(path).read_bytes())
 
 
+def manifest_value(manifest: dict[str, str], key: str, conv):
+    """``conv(manifest[key])``; a missing key or a rejected value is a CodecError."""
+    if key not in manifest:
+        raise CodecError(f"manifest has no {key!r}")
+    try:
+        return conv(manifest[key])
+    except ValueError:
+        raise CodecError(f"manifest {key!r}: {manifest[key]!r} is not "
+                         f"{conv.__name__}") from None
+
+
 def _atomic_write(path: str | Path, data: bytes) -> None:
-    # write-temp-then-rename so concurrent readers never see partial files
+    # write-temp-then-rename so concurrent readers never see partial files.
+    # The temp name is unique and O_EXCL never opens an existing file; unlike
+    # tempfile.mkstemp (mode 0600), mode 0666 lets the umask set permissions.
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

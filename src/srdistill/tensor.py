@@ -318,6 +318,14 @@ def _reflect_fold(g: np.ndarray, p: int, H: int, W: int) -> np.ndarray:
     return out
 
 
+def _embed(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the last two axes by (ph, pw) on each side."""
+    N, C, H, W = x.shape
+    out = np.zeros((N, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+    out[:, :, ph:ph + H, pw:pw + W] = x
+    return out
+
+
 def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
     """Pad the last two axes by `padding` on every side (zero or reflect)."""
     if padding < 0:
@@ -329,7 +337,7 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
     N, C, H, W = a.shape
     p = padding
     if mode == "zero":
-        out_data = np.pad(a.data, ((0, 0), (0, 0), (p, p), (p, p)))
+        out_data = _embed(a.data, p, p)
 
         def backward(g):
             _accum(a, g[:, :, p:p + H, p:p + W])
@@ -339,7 +347,15 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
             raise ShapeError(
                 f"pad2d reflect: padding {p} too large for spatial size {H}x{W}"
             )
-        out_data = np.pad(a.data, ((0, 0), (0, 0), (p, p), (p, p)), mode="reflect")
+        x = a.data
+        out_data = np.empty((N, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
+        out_data[:, :, p:p + H, p:p + W] = x
+        # mirror rows without the edge row, then whole columns (corners
+        # included); reversed forward slices avoid a stop of -1 at p = H - 1
+        out_data[:, :, :p, p:p + W] = x[:, :, 1:p + 1][:, :, ::-1]
+        out_data[:, :, p + H:, p:p + W] = x[:, :, H - 1 - p:H - 1][:, :, ::-1]
+        out_data[..., :p] = out_data[..., p + 1:2 * p + 1][..., ::-1]
+        out_data[..., p + W:] = out_data[..., W - 1:W + p - 1][..., ::-1]
 
         def backward(g):
             _accum(a, _reflect_fold(g, p, H, W))
@@ -351,6 +367,25 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 
 # ---------------------------------------------------------------------------
 # convolution
+#
+# conv2d is im2col + GEMM, formed one band of output rows at a time: a band's
+# columns, one sliding-window gather of the input rows it reads, hold at most
+# BLOCK_ELEMS elements (at least one row), so a no-grad conv never holds its
+# whole column matrix. The bands are kept for the weight gradient only when
+# the weight needs one. The input gradient takes one of two forms, chosen
+# from the shapes alone:
+#   - stride 1 and O < I (the 7x7 heads): a gather, the full correlation of
+#     the zero-padded output gradient with the flipped, transposed kernel,
+#     which reads O*kh*kw rows per pixel;
+#   - otherwise a scatter, w^T @ g summed back onto the image by _col2im,
+#     which writes I*kh*kw rows per pixel.
+# Padding stays its own pad2d node rather than being folded into the gather:
+# perfbench's tracer times it as one call inside conv2d, and its backward
+# (the reflect fold) is shared with every other pad2d caller.
+
+# elements of one band's column matrix: 2**20, 4 MB in float32
+BLOCK_ELEMS = 2 ** 20
+
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
             oh: int, ow: int) -> np.ndarray:
@@ -359,12 +394,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
     Exact adjoint of :func:`_col2im` for the same geometry.
     """
     N, C = x.shape[:2]
-    cols = np.empty((N, C, kh, kw, oh, ow), dtype=x.dtype)
     s = stride
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + s * oh:s, j:j + s * ow:s]
-    return cols.reshape(N, C * kh * kw, oh * ow)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, :s * (oh - 1) + 1:s, :s * (ow - 1) + 1:s]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(N, C * kh * kw, oh * ow)
 
 
 def _col2im(cols: np.ndarray, C: int, H: int, W: int, kh: int, kw: int,
@@ -378,6 +411,27 @@ def _col2im(cols: np.ndarray, C: int, H: int, W: int, kh: int, kw: int,
         for j in range(kw):
             x[:, :, i:i + s * oh:s, j:j + s * ow:s] += cols6[:, :, i, j]
     return x
+
+
+def _correlate(x: np.ndarray, w2d: np.ndarray, kh: int, kw: int, stride: int,
+               oh: int, ow: int, keep: bool):
+    """``w2d @ _im2col(x)`` as (N, O, oh, ow), one band of output rows at a time.
+
+    Returns the result and, when ``keep``, the (y0, y1, columns) of each band.
+    """
+    N, C = x.shape[:2]
+    O = w2d.shape[0]
+    rows = max(1, BLOCK_ELEMS // (N * C * kh * kw * ow))
+    out = np.empty((N, O, oh, ow), dtype=np.result_type(x, w2d))
+    bands = []
+    for y0 in range(0, oh, rows):
+        y1 = min(y0 + rows, oh)
+        cols = _im2col(x[:, :, y0 * stride:(y1 - 1) * stride + kh],
+                       kh, kw, stride, y1 - y0, ow)
+        out[:, :, y0:y1] = (w2d @ cols).reshape(N, O, y1 - y0, ow)
+        if keep:
+            bands.append((y0, y1, cols))
+    return out, bands
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -406,9 +460,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     oh = (H - kh) // stride + 1
     ow = (W - kw) // stride + 1
 
-    cols = _im2col(xp.data, kh, kw, stride, oh, ow)
+    # the weight gradient is taken when the weight required one at forward time
+    keep = weight.requires_grad
     w2d = weight.data.reshape(O, I * kh * kw)
-    out_data = (w2d @ cols).reshape(N, O, oh, ow)
+    out_data, bands = _correlate(xp.data, w2d, kh, kw, stride, oh, ow, keep)
     if bias is not None:
         if bias.shape != (O,):
             raise ShapeError(f"conv2d: bias shape {bias.shape}, expected ({O},)")
@@ -417,15 +472,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     parents = (xp, weight) if bias is None else (xp, weight, bias)
 
     def backward(g):
-        g2d = g.reshape(N, O, oh * ow)
-        if weight.requires_grad:
-            dw = np.einsum("nol,nkl->ok", g2d, cols, optimize=True)
-            _accum(weight, dw.reshape(weight.shape))
+        if keep:
+            dw = 0
+            for y0, y1, cols in bands:
+                gb = g[:, :, y0:y1].reshape(N, O, (y1 - y0) * ow)
+                dw = dw + (cols @ gb.transpose(0, 2, 1)).sum(axis=0)
+            _accum(weight, dw.T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        if xp.requires_grad:
-            dcols = np.einsum("ok,nol->nkl", w2d, g2d, optimize=True)
-            _accum(xp, _col2im(dcols, I, H, W, kh, kw, stride, oh, ow))
+        if not xp.requires_grad:
+            return
+        if stride == 1 and O < I:
+            wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dx, _ = _correlate(_embed(g, kh - 1, kw - 1),
+                               wf.reshape(I, O * kh * kw), kh, kw, 1, H, W,
+                               keep=False)
+        else:
+            dcols = w2d.T @ g.reshape(N, O, oh * ow)
+            dx = _col2im(dcols, I, H, W, kh, kw, stride, oh, ow)
+        _accum(xp, dx)
 
     return _make(out_data, parents, backward)
 
@@ -462,8 +527,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     x2d = x.data.reshape(N, I, H * W)
     w2d = weight.data.reshape(I, O * kh * kw)
-    cols = np.einsum("nil,ik->nkl", x2d, w2d, optimize=True)
-    buf = _col2im(cols, O, Hb, Wb, kh, kw, stride, H, W)
+    buf = _col2im(w2d.T @ x2d, O, Hb, Wb, kh, kw, stride, H, W)
     out_data = buf[:, :, p:p + out_h, p:p + out_w]
     if bias is not None:
         if bias.shape != (O,):
@@ -479,13 +543,12 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         dbuf[:, :, p:p + out_h, p:p + out_w] = g
         dcols = _im2col(dbuf, kh, kw, stride, H, W)
         if weight.requires_grad:
-            dw = np.einsum("nil,nkl->ik", x2d, dcols, optimize=True)
+            dw = (dcols @ x2d.transpose(0, 2, 1)).sum(axis=0).T
             _accum(weight, dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dx = np.einsum("nkl,ik->nil", dcols, w2d, optimize=True)
-            _accum(x, dx.reshape(N, I, H, W))
+            _accum(x, (w2d @ dcols).reshape(N, I, H, W))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)

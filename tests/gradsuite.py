@@ -168,6 +168,35 @@ def case_conv2d_reflect(rng):
     return _conv_case(rng, "reflect")
 
 
+def case_conv2d_gather(rng):
+    # stride 1 and O < I: the input gradient is a gather, not a scatter
+    n = int(rng.integers(1, 3))
+    ci = int(rng.integers(2, 5))
+    co = int(rng.integers(1, ci))
+    h, w = (int(v) for v in rng.integers(4, 7, size=2))
+    k = int(rng.choice([3, 5]))
+    p = k // 2
+    x = _probe(rng, (n, ci, h, w))
+    wt = Tensor(rng.normal(0.0, 0.5, (co, ci, k, k)), requires_grad=True)
+    b = Tensor(rng.normal(0.0, 0.5, co), requires_grad=True)
+    fn = lambda: _sq(T.conv2d(x, wt, b, stride=1, padding=p, pad_mode="reflect"))
+    return fn, {"x": x, "w": wt, "b": b}
+
+
+def case_conv2d_banded(rng):
+    # one output row per band, so the weight gradient sums over several bands
+    fn, probes = _conv_case(rng, "zero")
+
+    def banded():
+        block, T.BLOCK_ELEMS = T.BLOCK_ELEMS, 1
+        try:
+            return fn()
+        finally:
+            T.BLOCK_ELEMS = block
+
+    return banded, probes
+
+
 def case_conv_transpose2d(rng):
     n, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
     h, w = (int(v) for v in rng.integers(3, 6, size=2))
@@ -231,6 +260,8 @@ OPS = {
     "pad2d_reflect": case_pad2d_reflect,
     "conv2d": case_conv2d,
     "conv2d_reflect": case_conv2d_reflect,
+    "conv2d_gather": case_conv2d_gather,
+    "conv2d_banded": case_conv2d_banded,
     "conv_transpose2d": case_conv_transpose2d,
     "instance_norm": case_instance_norm,
     "similarity_loss": case_similarity_loss,

@@ -221,3 +221,19 @@ def test_load_rejects_wrong_manifest_kind(tmp_path):
     save_paired(tmp_path / "p", spec, train, test)
     with pytest.raises(ValueError):
         load_unpaired(tmp_path / "p")
+
+
+@pytest.mark.parametrize("loader,kind", [(load_unpaired, "unpaired"),
+                                         (load_paired, "paired")])
+def test_manifest_missing_a_key_is_a_codec_error(tmp_path, loader, kind):
+    (tmp_path / "manifest.txt").write_text(f"kind={kind}\n")
+    with pytest.raises(CodecError, match="resolution"):
+        loader(tmp_path)
+
+
+@pytest.mark.parametrize("loader,kind", [(load_unpaired, "unpaired"),
+                                         (load_paired, "paired")])
+def test_manifest_non_numeric_value_is_a_codec_error(tmp_path, loader, kind):
+    (tmp_path / "manifest.txt").write_text(f"kind={kind}\nresolution=big\n")
+    with pytest.raises(CodecError, match="resolution"):
+        loader(tmp_path)

@@ -16,6 +16,7 @@ from srdistill.models import (
     params_digest,
     save_model,
 )
+from srdistill.serialize import CodecError, write_checkpoint
 from srdistill.tensor import Tensor
 
 PARAM_REFERENCE = [
@@ -159,6 +160,19 @@ def test_load_rejects_mismatched_inventory(tmp_path):
     path = tmp_path / "bad.ckpt"
     write_checkpoint(path, g.manifest, items)
     with pytest.raises(ValueError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("manifest,key", [
+    ({"kind": "resnet"}, "ngf"),
+    ({"kind": "patchgan", "ndf": "8", "n_layers": "x", "in_channels": "3"},
+     "n_layers"),
+])
+def test_checkpoint_manifest_missing_or_bad_field_is_a_codec_error(
+        tmp_path, manifest, key):
+    path = tmp_path / "bad.ckpt"
+    write_checkpoint(path, manifest, [])
+    with pytest.raises(CodecError, match=key):
         load_model(path)
 
 

@@ -166,3 +166,40 @@ def test_repeated_parameter_name_is_a_codec_error():
     buf = checkpoint_to_bytes({}, [("w", w), ("w", w)])
     with pytest.raises(CodecError):
         checkpoint_from_bytes(buf)
+
+
+@pytest.mark.parametrize("manifest", [
+    {"#k": "v"},      # read back as a comment
+    {"a=b": "c"},     # read back as {"a": "b=c"}
+    {"": "v"},        # empty key
+    {" k": "v"},      # key read back stripped
+    {"k": " v "},     # value read back stripped
+    {"k": "a\nb=c"},  # read back as two keys
+    {"k\nj": "v"},
+], ids=["comment-key", "equals-in-key", "empty-key", "padded-key",
+        "padded-value", "newline-in-value", "newline-in-key"])
+def test_manifest_that_would_not_read_back_is_a_codec_error(manifest):
+    with pytest.raises(CodecError):
+        checkpoint_to_bytes(manifest, [])
+
+
+def test_manifest_values_may_hold_equals_and_hash():
+    manifest = {"k": "a=b#c"}
+    assert checkpoint_from_bytes(checkpoint_to_bytes(manifest, []))[0] == manifest
+
+
+def test_write_leaves_an_unrelated_tmp_file_alone(tmp_path):
+    path = tmp_path / "t.srdt"
+    other = tmp_path / "t.srdt.tmp"
+    other.write_bytes(b"someone else's")
+    write_tensor(path, np.ones(2, dtype=np.float32))
+    assert other.read_bytes() == b"someone else's"
+    assert sorted(tmp_path.iterdir()) == [path, other]
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    target = tmp_path / "t.srdt"
+    target.mkdir()  # renaming a file over a directory fails
+    with pytest.raises(OSError):
+        write_tensor(target, np.ones(2, dtype=np.float32))
+    assert list(tmp_path.iterdir()) == [target]

@@ -1,5 +1,7 @@
 """Autodiff op tests: loop-nest oracles, adjoint identities, gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,96 @@ def test_conv_transpose_is_adjoint_of_conv(stride, h):
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+def _pad_adjoint(gp, p, mode, h, w):
+    """Fold a gradient on the padded image back onto the (h, w) input.
+
+    Sums over the index map that np.pad builds, independent of pad2d.
+    """
+    idx = np.arange(h * w).reshape(h, w)
+    if mode == "reflect":
+        pidx = np.pad(idx, p, mode="reflect")
+    else:
+        pidx = np.pad(idx, p, constant_values=-1)
+    keep = pidx >= 0
+    out = np.zeros(gp.shape[:2] + (h * w,))
+    np.add.at(out, (slice(None), slice(None), pidx[keep]), gp[:, :, keep])
+    return out.reshape(gp.shape[:2] + (h, w))
+
+
+def conv2d_grads_loops(xp, w, g, stride):
+    """(d xp, d w) of sum(conv(xp, w) * g) at padding 0, one tap at a time."""
+    s = stride
+    oh, ow = g.shape[2:]
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for a in range(w.shape[2]):
+        for b in range(w.shape[3]):
+            win = xp[:, :, a:a + s * oh:s, b:b + s * ow:s]
+            dw[:, :, a, b] = np.einsum("noyx,niyx->oi", g, win)
+            dxp[:, :, a:a + s * oh:s, b:b + s * ow:s] += np.einsum(
+                "noyx,oi->niyx", g, w[:, :, a, b])
+    return dxp, dw
+
+
+@st.composite
+def _conv_geometry(draw):
+    k = draw(st.integers(1, 7))
+    s = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["zero", "reflect"]))
+    p = draw(st.integers(0, 3))
+    # reflect needs p < size; the padded image must hold one kernel
+    lo = max(k - 2 * p, p + 1 if mode == "reflect" else 1, 1)
+    h, wd = draw(st.integers(lo, lo + 4)), draw(st.integers(lo, lo + 4))
+    n = draw(st.integers(1, 2))
+    ci, co = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return n, ci, co, h, wd, k, s, p, mode
+
+
+@given(_conv_geometry(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conv2d_and_its_gradients_match_loops(geometry, one_row_bands, seed):
+    # O < I at stride 1 takes the gather input gradient, the rest the scatter
+    n, ci, co, h, wd, k, s, p, mode = geometry
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, ci, h, wd))
+    w = rng.normal(size=(co, ci, k, k))
+    b = rng.normal(size=co)
+    xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+    with pytest.MonkeyPatch.context() as mp:
+        if one_row_bands:
+            mp.setattr(T, "BLOCK_ELEMS", 1)
+        out = T.conv2d(xt, wt, bt, stride=s, padding=p, pad_mode=mode)
+        g = rng.normal(size=out.shape)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+
+    xp = x if p == 0 else np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)),
+                                 mode="reflect" if mode == "reflect" else "constant")
+    want = conv2d_loops(xp, w, b, s, 0)
+    assert out.shape == want.shape
+    assert np.max(np.abs(out.data - want)) < 1e-12
+    dxp, dw = conv2d_grads_loops(xp, w, g, s)
+    dx = dxp if p == 0 else _pad_adjoint(dxp, p, mode, h, wd)
+    assert np.max(np.abs(xt.grad - dx)) < 1e-12
+    assert np.max(np.abs(wt.grad - dw)) < 1e-12
+    assert np.max(np.abs(bt.grad - g.sum(axis=(0, 2, 3)))) < 1e-12
+
+
+def test_no_grad_head_conv_never_holds_its_column_matrix():
+    # 64 -> 3 channels, 7x7, 256x256 output: the whole column matrix would be
+    # 3136 x 65536 float32 = 822 MB
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 64, 262, 262)).astype(np.float32))
+    w = Tensor(rng.normal(size=(3, 64, 7, 7)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 3, 256, 256)
+    assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
 def test_conv2d_identity_kernel_preserves_input():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(1, 3, 5, 5))
@@ -159,6 +251,17 @@ def test_pad2d_reflect_matches_numpy():
         got = T.pad2d(Tensor(x), p, mode="reflect").data
         want = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="reflect")
         assert np.array_equal(got, want)
+
+
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_pad2d_reflect_matches_numpy_for_every_padding(h, w, n):
+    rng = np.random.default_rng(h * 13 + w * 7 + n)
+    x = rng.normal(size=(n, 2, h, w)).astype(np.float32)
+    for p in range(1, min(h, w)):  # up to p = min(h, w) - 1
+        got = T.pad2d(Tensor(x), p, mode="reflect").data
+        want = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="reflect")
+        assert np.array_equal(got, want), p
 
 
 def test_pad2d_reflect_rejects_pad_wider_than_input():

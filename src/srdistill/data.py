@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import format_config, parse_config_text
-from .serialize import CodecError, manifest_value
+from .config import format_config
+from .serialize import CodecError, manifest_from_bytes, manifest_value
 
 # paired-task palette: class id -> RGB
 PALETTE = np.array([
@@ -378,6 +378,14 @@ def _read_domain(root: Path, name: str):
     return imgs, masks
 
 
+def _read_manifest(root: Path, kind: str) -> dict[str, str]:
+    """The manifest of the dataset at `root`, which must be of `kind`."""
+    m = manifest_from_bytes((root / "manifest.txt").read_bytes(), f"{root} manifest")
+    if m.get("kind") != kind:
+        raise CodecError(f"{root}: manifest kind {m.get('kind')!r}, expected {kind!r}")
+    return m
+
+
 def save_unpaired(root, spec: UnpairedDatasetSpec, ds: UnpairedDataset) -> None:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -390,10 +398,7 @@ def save_unpaired(root, spec: UnpairedDatasetSpec, ds: UnpairedDataset) -> None:
 
 def load_unpaired(root) -> tuple[UnpairedDatasetSpec, UnpairedDataset]:
     root = Path(root)
-    m = parse_config_text((root / "manifest.txt").read_text())
-    if m.get("kind") != "unpaired":
-        raise ValueError(f"{root}: manifest kind {m.get('kind')!r}, "
-                         f"expected 'unpaired'")
+    m = _read_manifest(root, "unpaired")
     spec = UnpairedDatasetSpec(
         resolution=manifest_value(m, "resolution", int),
         train_samples=manifest_value(m, "train_samples", int),
@@ -427,10 +432,7 @@ def save_paired(root, spec: PairedDatasetSpec, train, test) -> None:
 
 def load_paired(root) -> tuple[PairedDatasetSpec, list[PairedSample], list[PairedSample]]:
     root = Path(root)
-    m = parse_config_text((root / "manifest.txt").read_text())
-    if m.get("kind") != "paired":
-        raise ValueError(f"{root}: manifest kind {m.get('kind')!r}, "
-                         f"expected 'paired'")
+    m = _read_manifest(root, "paired")
     spec = PairedDatasetSpec(
         resolution=manifest_value(m, "resolution", int),
         train_samples=manifest_value(m, "train_samples", int),

@@ -286,11 +286,6 @@ class Model:
         for t in self.params():
             t.grad = None
 
-    def astype(self, dtype) -> "Model":
-        for t in self.params():
-            t.data = t.data.astype(dtype)
-        return self
-
     def count_macs(self, shape) -> int:
         total = 0
 

@@ -72,6 +72,14 @@ def _decode(raw: bytes, what: str) -> str:
                          f"at byte {exc.start}") from None
 
 
+def manifest_from_bytes(raw: bytes, what: str) -> dict[str, str]:
+    """Decode a key=value manifest; bad UTF-8 or a bad line is a CodecError."""
+    try:
+        return parse_config_text(_decode(raw, what))
+    except ConfigError as exc:
+        raise CodecError(f"{what}: {exc}") from None
+
+
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
     _atomic_write(path, tensor_to_bytes(arr))
 
@@ -108,11 +116,7 @@ def checkpoint_from_bytes(buf: bytes) -> tuple[dict[str, str], list[tuple[str, n
     (mlen,) = struct.unpack_from("<I", buf, 0)
     offset = 4
     _need(buf, offset, mlen, "checkpoint manifest")
-    try:
-        manifest = parse_config_text(_decode(buf[offset:offset + mlen],
-                                             "checkpoint manifest"))
-    except ConfigError as exc:
-        raise CodecError(f"checkpoint manifest: {exc}") from None
+    manifest = manifest_from_bytes(buf[offset:offset + mlen], "checkpoint manifest")
     offset += mlen
     params: list[tuple[str, np.ndarray]] = []
     seen: set[str] = set()

@@ -54,9 +54,6 @@ class Tensor:
     def numel(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
@@ -115,13 +112,20 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _operands(op: str, a: Tensor, b: Tensor, shape: tuple | None = None) -> None:
+    """Reject operands of two dtypes, and ``b`` not of ``shape`` when one is given."""
+    if a.dtype != b.dtype:
+        raise TypeError(f"{op}: operand dtypes {a.dtype} and {b.dtype} differ")
+    if shape is not None and b.shape != shape:
+        raise ShapeError(f"{op}: operand shape {b.shape}, expected {shape}")
+
+
 # ---------------------------------------------------------------------------
 # elementwise / arithmetic
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
+    _operands("add", a, b, a.shape)
 
     def backward(g):
         _accum(a, g)
@@ -131,8 +135,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} vs {b.shape}")
+    _operands("sub", a, b, a.shape)
 
     def backward(g):
         _accum(a, g)
@@ -142,8 +145,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
+    _operands("mul", a, b, a.shape)
 
     def backward(g):
         _accum(a, g * b.data)
@@ -204,8 +206,7 @@ def reduce_mean(a: Tensor) -> Tensor:
 
 def abs_mean(a: Tensor, b: Tensor) -> Tensor:
     """Mean absolute difference (L1). Gradient of |x| at 0 is 0."""
-    if a.shape != b.shape:
-        raise ShapeError(f"abs_mean: shapes {a.shape} vs {b.shape}")
+    _operands("abs_mean", a, b, a.shape)
     d = a.data - b.data
     n = d.size
 
@@ -219,8 +220,7 @@ def abs_mean(a: Tensor, b: Tensor) -> Tensor:
 
 def square_mean(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared difference (MSE)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"square_mean: shapes {a.shape} vs {b.shape}")
+    _operands("square_mean", a, b, a.shape)
     d = a.data - b.data
     n = d.size
 
@@ -260,6 +260,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects matrices, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
+    _operands("matmul", a, b)
 
     def backward(g):
         _accum(a, g @ b.data.T)
@@ -271,6 +272,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     if not tensors:
         raise ShapeError("concat of an empty sequence")
+    for t in tensors[1:]:
+        _operands("concat", tensors[0], t)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
     parents = tuple(tensors)
@@ -368,20 +371,22 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 #
-# conv2d is im2col + GEMM, formed one band of output rows at a time: a band's
-# columns, one sliding-window gather of the input rows it reads, hold at most
-# BLOCK_ELEMS elements (at least one row), so a no-grad conv never holds its
-# whole column matrix. The bands are kept for the weight gradient only when
-# the weight needs one. The input gradient takes one of two forms, chosen
-# from the shapes alone:
-#   - stride 1 and O < I (the 7x7 heads): a gather, the full correlation of
-#     the zero-padded output gradient with the flipped, transposed kernel,
-#     which reads O*kh*kw rows per pixel;
-#   - otherwise a scatter, w^T @ g summed back onto the image by _col2im,
-#     which writes I*kh*kw rows per pixel.
-# Padding stays its own pad2d node rather than being folded into the gather:
-# perfbench's tracer times it as one call inside conv2d, and its backward
-# (the reflect fold) is shared with every other pad2d caller.
+# A transposed convolution is the input gradient (the adjoint) of a
+# convolution (Dumoulin & Visin 2016, arXiv 1603.07285), so both ops share
+# three products:
+#   - _correlate, w2d @ im2col(x), is conv2d's forward and conv_transpose2d's
+#     input gradient. It works one band of output rows at a time; a band's
+#     columns, one sliding-window gather, hold at most BLOCK_ELEMS elements
+#     (at least one row) and are kept only for a weight gradient.
+#   - _adjoint, a conv's input gradient, is conv2d's backward and
+#     conv_transpose2d's forward. At stride 1, O < I and the natural extent
+#     (the 7x7 heads) it gathers: the _correlate of the zero-padded gradient
+#     with the flipped, transposed kernel. Otherwise it scatters w^T @ g onto
+#     the image with _col2im, which also covers output_padding > padding.
+#   - _weight_grad sums g_b @ cols_b^T over the kept bands; conv2d passes its
+#     output gradient as g, conv_transpose2d its input.
+# Padding stays its own pad2d node: perfbench's tracer times it as one call
+# inside conv2d, and its reflect-fold backward is shared with other callers.
 
 # elements of one band's column matrix: 2**20, 4 MB in float32
 BLOCK_ELEMS = 2 ** 20
@@ -434,64 +439,78 @@ def _correlate(x: np.ndarray, w2d: np.ndarray, kh: int, kw: int, stride: int,
     return out, bands
 
 
+def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.ndarray:
+    """(N, I, H, W) input gradient of a conv by w (O, I, kh, kw) for g (N, O, oh, ow)."""
+    N, O, oh, ow = g.shape
+    _, I, kh, kw = w.shape
+    if stride == 1 and O < I and (H, W) == (oh + kh - 1, ow + kw - 1):
+        wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(I, O * kh * kw)
+        return _correlate(_embed(g, kh - 1, kw - 1), wf, kh, kw, 1, H, W, False)[0]
+    dcols = w.reshape(O, I * kh * kw).T @ g.reshape(N, O, oh * ow)
+    return _col2im(dcols, I, H, W, kh, kw, stride, oh, ow)
+
+
+def _weight_grad(g: np.ndarray, bands, shape) -> np.ndarray:
+    """Sum of ``g_b @ cols_b^T`` over the kept bands of a _correlate, as `shape`."""
+    N, C, _, ow = g.shape
+    dw = 0
+    for y0, y1, cols in bands:
+        gb = g[:, :, y0:y1].reshape(N, C, (y1 - y0) * ow)
+        dw = dw + (cols @ gb.transpose(0, 2, 1)).sum(axis=0)
+    return dw.T.reshape(shape)
+
+
+def _check_conv(op: str, x: Tensor, weight: Tensor, stride: int, layout: str) -> None:
+    """NCHW input, a 4-D weight in `layout` ("OIkk" or "IOkk"), stride >= 1."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"{op}: input must be NCHW, got shape {x.shape}")
+    if weight.data.ndim != 4:
+        raise ShapeError(f"{op}: weight must be {layout}, got shape {weight.shape}")
+    _operands(op, x, weight)
+    I = weight.shape[layout.index("I")]
+    if x.shape[1] != I:
+        raise ShapeError(f"{op}: input has {x.shape[1]} channels but weight expects {I}")
+    if stride < 1:
+        raise ShapeError(f"{op}: stride must be positive, got {stride}")
+
+
+def _add_bias(op: str, out: np.ndarray, weight: Tensor, bias: Tensor | None):
+    """A contiguous ``out`` plus the per-channel bias, when there is one."""
+    if bias is None:
+        return np.ascontiguousarray(out)
+    _operands(op, weight, bias, (out.shape[1],))
+    return out + bias.data.reshape(1, -1, 1, 1)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0, pad_mode: str = "zero") -> Tensor:
     """2-D cross-correlation, NCHW input and OIkk weight.
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv2d: input must be NCHW, got shape {x.shape}")
-    if weight.data.ndim != 4:
-        raise ShapeError(f"conv2d: weight must be OIkk, got shape {weight.shape}")
+    _check_conv("conv2d", x, weight, stride, "OIkk")
     O, I, kh, kw = weight.shape
-    if x.shape[1] != I:
-        raise ShapeError(
-            f"conv2d: input has {x.shape[1]} channels but weight expects {I}"
-        )
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be positive, got {stride}")
     xp = pad2d(x, padding, pad_mode)
-    N, _, H, W = xp.shape
+    H, W = xp.shape[2:]
     if kh > H or kw > W:
-        raise ShapeError(
-            f"conv2d: kernel {kh}x{kw} larger than padded input {H}x{W}"
-        )
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {H}x{W}")
     oh = (H - kh) // stride + 1
     ow = (W - kw) // stride + 1
 
     # the weight gradient is taken when the weight required one at forward time
-    keep = weight.requires_grad
-    w2d = weight.data.reshape(O, I * kh * kw)
-    out_data, bands = _correlate(xp.data, w2d, kh, kw, stride, oh, ow, keep)
-    if bias is not None:
-        if bias.shape != (O,):
-            raise ShapeError(f"conv2d: bias shape {bias.shape}, expected ({O},)")
-        out_data = out_data + bias.data.reshape(1, O, 1, 1)
-
-    parents = (xp, weight) if bias is None else (xp, weight, bias)
+    out_data, bands = _correlate(xp.data, weight.data.reshape(O, I * kh * kw),
+                                 kh, kw, stride, oh, ow, weight.requires_grad)
+    out_data = _add_bias("conv2d", out_data, weight, bias)
 
     def backward(g):
-        if keep:
-            dw = 0
-            for y0, y1, cols in bands:
-                gb = g[:, :, y0:y1].reshape(N, O, (y1 - y0) * ow)
-                dw = dw + (cols @ gb.transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, dw.T.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
+        if bands:
+            _accum(weight, _weight_grad(g, bands, weight.shape))
+        if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        if not xp.requires_grad:
-            return
-        if stride == 1 and O < I:
-            wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx, _ = _correlate(_embed(g, kh - 1, kw - 1),
-                               wf.reshape(I, O * kh * kw), kh, kw, 1, H, W,
-                               keep=False)
-        else:
-            dcols = w2d.T @ g.reshape(N, O, oh * ow)
-            dx = _col2im(dcols, I, H, W, kh, kw, stride, oh, ow)
-        _accum(xp, dx)
+        if xp.requires_grad:
+            _accum(xp, _adjoint(g, weight.data, stride, H, W))
 
+    parents = (xp, weight) if bias is None else (xp, weight, bias)
     return _make(out_data, parents, backward)
 
 
@@ -502,53 +521,30 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     Output spatial size is (H - 1)*stride - 2*padding + k + output_padding.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv_transpose2d: input must be NCHW, got {x.shape}")
-    if weight.data.ndim != 4:
-        raise ShapeError(f"conv_transpose2d: weight must be IOkk, got {weight.shape}")
+    _check_conv("conv_transpose2d", x, weight, stride, "IOkk")
     I, O, kh, kw = weight.shape
-    if x.shape[1] != I:
-        raise ShapeError(
-            f"conv_transpose2d: input has {x.shape[1]} channels but weight expects {I}"
-        )
-    if stride < 1:
-        raise ShapeError(f"conv_transpose2d: stride must be positive, got {stride}")
-    N, _, H, W = x.shape
+    H, W = x.shape[2:]
     p = padding
     out_h = (H - 1) * stride - 2 * p + kh + output_padding
     out_w = (W - 1) * stride - 2 * p + kw + output_padding
     if out_h < 1 or out_w < 1:
-        raise ShapeError(
-            f"conv_transpose2d: non-positive output size {out_h}x{out_w}"
-        )
-    # scatter buffer, extended when output_padding reaches past the natural extent
-    Hb = (H - 1) * stride + kh + max(0, p + out_h - ((H - 1) * stride + kh))
-    Wb = (W - 1) * stride + kw + max(0, p + out_w - ((W - 1) * stride + kw))
-
-    x2d = x.data.reshape(N, I, H * W)
-    w2d = weight.data.reshape(I, O * kh * kw)
-    buf = _col2im(w2d.T @ x2d, O, Hb, Wb, kh, kw, stride, H, W)
-    out_data = buf[:, :, p:p + out_h, p:p + out_w]
-    if bias is not None:
-        if bias.shape != (O,):
-            raise ShapeError(
-                f"conv_transpose2d: bias shape {bias.shape}, expected ({O},)"
-            )
-        out_data = out_data + bias.data.reshape(1, O, 1, 1)
-    else:
-        out_data = np.ascontiguousarray(out_data)
+        raise ShapeError(f"conv_transpose2d: non-positive output size {out_h}x{out_w}")
+    # the natural extent, or more where output_padding reaches past it
+    Hb = max((H - 1) * stride + kh, p + out_h)
+    Wb = max((W - 1) * stride + kw, p + out_w)
+    buf = _adjoint(x.data, weight.data, stride, Hb, Wb)
+    out_data = _add_bias("conv_transpose2d", buf[:, :, p:p + out_h, p:p + out_w],
+                         weight, bias)
 
     def backward(g):
-        dbuf = np.zeros((N, O, Hb, Wb), dtype=g.dtype)
-        dbuf[:, :, p:p + out_h, p:p + out_w] = g
-        dcols = _im2col(dbuf, kh, kw, stride, H, W)
-        if weight.requires_grad:
-            dw = (dcols @ x2d.transpose(0, 2, 1)).sum(axis=0).T
-            _accum(weight, dw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
+        # the windows read only the natural extent, which the embedding covers
+        dx, bands = _correlate(_embed(g, p, p), weight.data.reshape(I, O * kh * kw),
+                               kh, kw, stride, H, W, weight.requires_grad)
+        if bands:
+            _accum(weight, _weight_grad(x.data, bands, weight.shape))
+        if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            _accum(x, (w2d @ dcols).reshape(N, I, H, W))
+        _accum(x, dx)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)

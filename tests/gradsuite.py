@@ -6,6 +6,7 @@ backward() against central differences. Inputs to kinked ops (relu, abs) are
 pushed away from the kink so the numeric derivative is well defined.
 """
 
+import contextlib
 import time
 import zlib
 
@@ -184,24 +185,13 @@ def case_conv2d_gather(rng):
 
 
 def case_conv2d_banded(rng):
-    # one output row per band, so the weight gradient sums over several bands
-    fn, probes = _conv_case(rng, "zero")
-
-    def banded():
-        block, T.BLOCK_ELEMS = T.BLOCK_ELEMS, 1
-        try:
-            return fn()
-        finally:
-            T.BLOCK_ELEMS = block
-
-    return banded, probes
+    return _conv_case(rng, "zero")
 
 
-def case_conv_transpose2d(rng):
-    n, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
+def _conv_transpose_case(rng, n, ci, co, strides):
     h, w = (int(v) for v in rng.integers(3, 6, size=2))
     k = int(rng.choice([3, 4]))
-    s = int(rng.choice([1, 2]))
+    s = int(rng.choice(strides))
     p = int(rng.integers(0, 2))
     op = int(rng.integers(0, s))
     x = _probe(rng, (n, ci, h, w))
@@ -210,6 +200,22 @@ def case_conv_transpose2d(rng):
     fn = lambda: _sq(T.conv_transpose2d(x, wt, b, stride=s, padding=p,
                                         output_padding=op))
     return fn, {"x": x, "w": wt, "b": b}
+
+
+def case_conv_transpose2d(rng):
+    n, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
+    return _conv_transpose_case(rng, n, ci, co, [1, 2])
+
+
+def case_conv_transpose2d_banded(rng):
+    return case_conv_transpose2d(rng)
+
+
+def case_conv_transpose2d_gather(rng):
+    # stride 1 and I < O: the forward is the gathered adjoint, not a scatter
+    n = int(rng.integers(1, 3))
+    co = int(rng.integers(2, 5))
+    return _conv_transpose_case(rng, n, int(rng.integers(1, co)), co, [1])
 
 
 def case_instance_norm(rng):
@@ -263,19 +269,37 @@ OPS = {
     "conv2d_gather": case_conv2d_gather,
     "conv2d_banded": case_conv2d_banded,
     "conv_transpose2d": case_conv_transpose2d,
+    "conv_transpose2d_banded": case_conv_transpose2d_banded,
+    "conv_transpose2d_gather": case_conv_transpose2d_gather,
     "instance_norm": case_instance_norm,
     "similarity_loss": case_similarity_loss,
 }
 
 
+# run with one output row per band, forward and backward, so the weight
+# gradient sums over several bands
+ONE_ROW_BANDS = {"conv2d_banded", "conv_transpose2d_banded"}
+
+
+@contextlib.contextmanager
+def _block_elems(n):
+    block, T.BLOCK_ELEMS = T.BLOCK_ELEMS, n
+    try:
+        yield
+    finally:
+        T.BLOCK_ELEMS = block
+
+
 def check_op(name, n_cases=20, seed=0):
     """Worst relative error for one op across n_cases randomized cases."""
     builder = OPS[name]
+    block = 1 if name in ONE_ROW_BANDS else T.BLOCK_ELEMS
     worst = 0.0
     for i in range(n_cases):
         rng = np.random.default_rng([seed, zlib.crc32(name.encode()), i])
         fn, probes = builder(rng)
-        report = T.grad_check_many(fn, probes, step=STEP, tol=TOL)
+        with _block_elems(block):
+            report = T.grad_check_many(fn, probes, step=STEP, tol=TOL)
         worst = max(worst, report.worst)
     return worst
 

@@ -237,3 +237,14 @@ def test_manifest_non_numeric_value_is_a_codec_error(tmp_path, loader, kind):
     (tmp_path / "manifest.txt").write_text(f"kind={kind}\nresolution=big\n")
     with pytest.raises(CodecError, match="resolution"):
         loader(tmp_path)
+
+
+@pytest.mark.parametrize("loader,kind", [(load_unpaired, "unpaired"),
+                                         (load_paired, "paired")])
+@pytest.mark.parametrize("fault", [b"\xff\xfe", b"resolutionX48", b"resolution=48"],
+                         ids=["non_utf8", "line_without_equals", "repeated_key"])
+def test_malformed_manifest_is_a_codec_error(tmp_path, loader, kind, fault):
+    text = b"kind=%s\nresolution=48\n" % kind.encode()
+    (tmp_path / "manifest.txt").write_bytes(text + fault + b"\n")
+    with pytest.raises(CodecError, match="manifest"):
+        loader(tmp_path)

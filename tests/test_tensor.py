@@ -108,6 +108,22 @@ def test_conv_transpose2d_loop_oracle_randomized(case):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("stride,padding,output_padding", [(1, 0, 2), (2, 0, 3)])
+def test_conv_transpose2d_output_padding_past_the_extent(stride, padding,
+                                                          output_padding):
+    # I < O at stride 1 would take the gather, which covers only the natural
+    # extent; the rows past it are zero plus the bias
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 2, 4, 5))
+    w = rng.normal(size=(2, 3, 3, 3))
+    b = rng.normal(size=3)
+    got = T.conv_transpose2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                             padding=padding, output_padding=output_padding).data
+    want = conv_transpose2d_loops(x, w, b, stride, padding, output_padding)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 @pytest.mark.parametrize("stride,h", [(1, 6), (2, 8), (2, 7)])
 def test_conv_transpose_is_adjoint_of_conv(stride, h):
     # <conv(x, w), y> == <x, convT(y, w)> with matching stride/padding
@@ -407,6 +423,23 @@ def test_shape_errors():
         T.matmul(Tensor(np.ones(3)), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "abs_mean", "square_mean",
+                                "matmul", "concat", "conv2d", "conv_bias"])
+def test_mixed_dtypes_are_rejected(op):
+    a = Tensor(np.ones((2, 2), dtype=np.float32))
+    b = Tensor(np.ones((2, 2), dtype=np.float64))
+    x = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32))
+    w = Tensor(np.ones((2, 2, 3, 3), dtype=np.float32))
+    calls = {
+        "matmul": lambda: T.matmul(a, b),
+        "concat": lambda: T.concat([a, b], axis=0),
+        "conv2d": lambda: T.conv2d(x, Tensor(w.data.astype(np.float64))),
+        "conv_bias": lambda: T.conv2d(x, w, Tensor(np.ones(2))),
+    }
+    with pytest.raises(TypeError, match="float32 and float64"):
+        calls.get(op, lambda: getattr(T, op)(a, b))()
 
 
 def test_repeated_run_is_bitwise_deterministic():

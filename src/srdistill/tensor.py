@@ -155,6 +155,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    c = a.data.dtype.type(c)  # NumPy 1.x makes a 0-d float32 * float a float64
     def backward(g):
         _accum(a, g * c)
 
@@ -379,10 +380,10 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 #     columns, one sliding-window gather, hold at most BLOCK_ELEMS elements
 #     (at least one row) and are kept only for a weight gradient.
 #   - _adjoint, a conv's input gradient, is conv2d's backward and
-#     conv_transpose2d's forward. At stride 1, O < I and the natural extent
-#     (the 7x7 heads) it gathers: the _correlate of the zero-padded gradient
-#     with the flipped, transposed kernel. Otherwise it scatters w^T @ g onto
-#     the image with _col2im, which also covers output_padding > padding.
+#     conv_transpose2d's forward. At stride 1 and O < I (the 7x7 heads) it
+#     gathers: the _correlate of the zero-padded gradient with the flipped,
+#     transposed kernel. Otherwise it scatters w^T @ g onto the image with
+#     _col2im, also past the natural extent where output_padding > padding.
 #   - _weight_grad sums g_b @ cols_b^T over the kept bands; conv2d passes its
 #     output gradient as g, conv_transpose2d its input.
 # Padding stays its own pad2d node: perfbench's tracer times it as one call
@@ -443,7 +444,7 @@ def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.nd
     """(N, I, H, W) input gradient of a conv by w (O, I, kh, kw) for g (N, O, oh, ow)."""
     N, O, oh, ow = g.shape
     _, I, kh, kw = w.shape
-    if stride == 1 and O < I and (H, W) == (oh + kh - 1, ow + kw - 1):
+    if stride == 1 and O < I:
         wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(I, O * kh * kw)
         return _correlate(_embed(g, kh - 1, kw - 1), wf, kh, kw, 1, H, W, False)[0]
     dcols = w.reshape(O, I * kh * kw).T @ g.reshape(N, O, oh * ow)
@@ -522,6 +523,8 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Output spatial size is (H - 1)*stride - 2*padding + k + output_padding.
     """
     _check_conv("conv_transpose2d", x, weight, stride, "IOkk")
+    if padding < 0 or not 0 <= output_padding < stride:
+        raise ShapeError("conv_transpose2d: need 0 <= padding and 0 <= output_padding < stride")
     I, O, kh, kw = weight.shape
     H, W = x.shape[2:]
     p = padding
@@ -529,7 +532,6 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_w = (W - 1) * stride - 2 * p + kw + output_padding
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"conv_transpose2d: non-positive output size {out_h}x{out_w}")
-    # the natural extent, or more where output_padding reaches past it
     Hb = max((H - 1) * stride + kh, p + out_h)
     Wb = max((W - 1) * stride + kw, p + out_w)
     buf = _adjoint(x.data, weight.data, stride, Hb, Wb)

@@ -285,6 +285,28 @@ def test_paired_objective_formula_and_reduction():
     assert np.array_equal(with_t.total.data, without.total.data)
 
 
+def test_float32_objectives_stay_float32():
+    # every weighted term goes through T.scale on a 0-d loss; a float64 term
+    # would make the next T.add reject the float32 sum
+    rng = np.random.default_rng(8)
+    f32 = np.float32
+    mk_g = lambda ngf: build_generator(GeneratorSpec("resnet", ngf, 1, resolution=16),
+                                       rng, dtype=f32)
+    mk_d = lambda c: build_discriminator(DiscriminatorSpec(ndf=4, n_layers=1,
+                                                           in_channels=c), rng, dtype=f32)
+    x = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)).astype(f32))
+    y = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)).astype(f32))
+    cfg = DistillConfig(gamma_a=0.7, gamma_b=0.3, alpha=0.5, cycle_weight=10.0)
+    t_a, t_b = mk_g(8), mk_g(8)
+    for t in (t_a, t_b):
+        t.set_requires_grad(False)
+    cycle = full_cycle_objective(mk_g(4), mk_g(4), mk_d(3), mk_d(3), x, y, cfg, t_a, t_b)
+    paired = paired_objective(mk_g(4), mk_d(6), x, y, cfg, t_a)
+    for terms in (cycle, paired):
+        assert terms.total.dtype == f32
+        terms.total.backward()
+
+
 def test_zero_features_give_zero_matrix_without_nan():
     vals = semrel_matrix(Tensor(np.zeros((1, 3, 2, 2)))).values.data
     assert np.array_equal(vals, np.zeros((4, 4)))

@@ -108,20 +108,15 @@ def test_conv_transpose2d_loop_oracle_randomized(case):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("stride,padding,output_padding", [(1, 0, 2), (2, 0, 3)])
-def test_conv_transpose2d_output_padding_past_the_extent(stride, padding,
-                                                          output_padding):
-    # I < O at stride 1 would take the gather, which covers only the natural
-    # extent; the rows past it are zero plus the bias
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 2, 4, 5))
-    w = rng.normal(size=(2, 3, 3, 3))
-    b = rng.normal(size=3)
-    got = T.conv_transpose2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
-                             padding=padding, output_padding=output_padding).data
-    want = conv_transpose2d_loops(x, w, b, stride, padding, output_padding)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) < 1e-12
+@pytest.mark.parametrize("stride,padding,output_padding",
+                         [(1, 0, 1), (2, 0, 2), (2, 1, -1), (2, -1, 0)])
+def test_conv_transpose2d_rejects_out_of_range_padding(stride, padding, output_padding):
+    # output_padding must be below the stride, as in PyTorch
+    x = Tensor(np.ones((1, 2, 4, 4)))
+    w = Tensor(np.ones((2, 3, 3, 3)))
+    with pytest.raises(ShapeError, match="output_padding"):
+        T.conv_transpose2d(x, w, None, stride=stride, padding=padding,
+                           output_padding=output_padding)
 
 
 @pytest.mark.parametrize("stride,h", [(1, 6), (2, 8), (2, 7)])
@@ -440,6 +435,15 @@ def test_mixed_dtypes_are_rejected(op):
     }
     with pytest.raises(TypeError, match="float32 and float64"):
         calls.get(op, lambda: getattr(T, op)(a, b))()
+
+
+def test_scale_keeps_the_operand_dtype():
+    # a NumPy float64 scalar would promote the 0-d float32 product to float64
+    x = Tensor(np.asarray(1.5, dtype=np.float32), requires_grad=True)
+    y = T.scale(x, np.float64(0.5))
+    assert y.dtype == np.float32
+    y.backward()
+    assert x.grad.dtype == np.float32 and float(x.grad) == 0.5
 
 
 def test_repeated_run_is_bitwise_deterministic():

@@ -170,10 +170,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    def backward(g):
-        _accum(a, g * np.where(a.data >= 0, 1.0, slope))
+    one, s = a.data.dtype.type(1), a.data.dtype.type(slope)  # a float64 factor upcasts g
 
-    return _make(np.where(a.data >= 0, a.data, a.data * slope), (a,), backward)
+    def backward(g):
+        _accum(a, g * np.where(a.data >= 0, one, s))
+
+    return _make(np.where(a.data >= 0, a.data, a.data * s), (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -374,22 +376,33 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 #
 # A transposed convolution is the input gradient (the adjoint) of a
 # convolution (Dumoulin & Visin 2016, arXiv 1603.07285), so both ops share
-# three products:
-#   - _correlate, w2d @ im2col(x), is conv2d's forward and conv_transpose2d's
-#     input gradient. It works one band of output rows at a time; a band's
-#     columns, one sliding-window gather, hold at most BLOCK_ELEMS elements
-#     (at least one row) and are kept only for a weight gradient.
+# four products; which one runs follows from the shapes alone:
+#   - _kn2row is conv2d's forward at stride 1 and O < I (the 7x7 heads, the
+#     last PatchGAN conv), where an im2col GEMM would have 1-3 rows against
+#     an input gathered kh*kw times. A run of taps is one GEMM of their
+#     stacked (taps*O, I) weight against the flat padded input, then one
+#     shifted slice-add per tap (kn2row: Vasudevan et al. 2017, arXiv
+#     1704.04428). A run's product holds at most BLOCK_ELEMS elements (at
+#     least one tap). _kn2row_weight_grad, its weight gradient, stacks the
+#     output gradient at each tap's shift and reads only the padded input,
+#     which the graph holds anyway; it keeps no columns.
+#   - _correlate, w2d @ im2col(x), is conv2d's forward at every other shape
+#     and conv_transpose2d's input gradient. It works one band of output rows
+#     at a time; a band's columns, one sliding-window gather, hold at most
+#     BLOCK_ELEMS elements (at least one row) and are kept only for a weight
+#     gradient.
 #   - _adjoint, a conv's input gradient, is conv2d's backward and
-#     conv_transpose2d's forward. At stride 1 and O < I (the 7x7 heads) it
-#     gathers: the _correlate of the zero-padded gradient with the flipped,
-#     transposed kernel. Otherwise it scatters w^T @ g onto the image with
-#     _col2im, also past the natural extent where output_padding > padding.
-#   - _weight_grad sums g_b @ cols_b^T over the kept bands; conv2d passes its
-#     output gradient as g, conv_transpose2d its input.
+#     conv_transpose2d's forward. At stride 1 and O < I it gathers: the
+#     _correlate of the zero-padded gradient with the flipped, transposed
+#     kernel. Otherwise it scatters w^T @ g onto the image with _col2im, also
+#     past the natural extent where output_padding > padding.
+#   - _weight_grad sums g_b @ cols_b^T over _correlate's kept bands; conv2d
+#     passes its output gradient as g, conv_transpose2d its input.
 # Padding stays its own pad2d node: perfbench's tracer times it as one call
 # inside conv2d, and its reflect-fold backward is shared with other callers.
 
-# elements of one band's column matrix: 2**20, 4 MB in float32
+# elements of one band's column matrix or one tap run's product: 2**20,
+# 4 MB in float32
 BLOCK_ELEMS = 2 ** 20
 
 
@@ -461,6 +474,62 @@ def _weight_grad(g: np.ndarray, bands, shape) -> np.ndarray:
     return dw.T.reshape(shape)
 
 
+def _tap_groups(kh: int, kw: int, Wp: int, per_tap: int):
+    """Runs t0:t1 of a kernel's taps, with each tap's offset in rows of Wp.
+
+    A run's stacked product holds at most BLOCK_ELEMS elements at ``per_tap``
+    each, and at least one tap.
+    """
+    group = max(1, BLOCK_ELEMS // per_tap)
+    for t0 in range(0, kh * kw, group):
+        t1 = min(t0 + group, kh * kw)
+        yield t0, t1, [t // kw * Wp + t % kw for t in range(t0, t1)]
+
+
+def _kn2row(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Stride-1 conv of x (N, C, Hp, Wp) by w (O, C, kh, kw) as (N, O, oh, ow).
+
+    Each run of taps is one GEMM of its stacked (taps*O, C) weight against
+    the flat input; each tap's product then adds into the flat (O, oh*Wp)
+    output shifted by the tap's offset. The last kw-1 columns of each output
+    row hold windows that wrap into the next row and are dropped.
+    """
+    N, C, Hp, Wp = x.shape
+    O, _, kh, kw = w.shape
+    xf = x.reshape(N, C, Hp * Wp)
+    span = (oh - 1) * Wp + ow  # flat extent of the kept windows
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * O, C)
+    acc = np.zeros((N, O, oh * Wp), dtype=np.result_type(x, w))
+    for t0, t1, offsets in _tap_groups(kh, kw, Wp, N * O * Hp * Wp):
+        prod = (taps[t0 * O:t1 * O] @ xf).reshape(N, t1 - t0, O, Hp * Wp)
+        for k, s in enumerate(offsets):
+            acc[:, :, :span] += prod[:, k, :, s:s + span]
+    return acc.reshape(N, O, oh, Wp)[..., :ow]
+
+
+def _kn2row_weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(O, C, kh, kw) weight gradient of :func:`_kn2row` for g (N, O, oh, ow).
+
+    The adjoint of the forward's order: g, widened to rows of length Wp with
+    zeros in the wrap columns, is copied to each tap's offset, and each run
+    of taps is one GEMM of the stacked copies against the flat input.
+    """
+    N, O, oh, ow = g.shape
+    C, Hp, Wp = x.shape[1:]
+    span = (oh - 1) * Wp + ow
+    gw = np.zeros((N, O, oh, Wp), dtype=g.dtype)
+    gw[..., :ow] = g
+    gf = gw.reshape(N, O, oh * Wp)[..., :span]
+    xt = x.reshape(N, C, Hp * Wp).transpose(0, 2, 1)
+    dw = np.empty((kh * kw * O, C), dtype=np.result_type(g, x))
+    for t0, t1, offsets in _tap_groups(kh, kw, Wp, N * O * Hp * Wp):
+        shifted = np.zeros((N, t1 - t0, O, Hp * Wp), dtype=g.dtype)
+        for k, s in enumerate(offsets):
+            shifted[:, k, :, s:s + span] = gf
+        dw[t0 * O:t1 * O] = (shifted.reshape(N, -1, Hp * Wp) @ xt).sum(axis=0)
+    return dw.reshape(kh, kw, O, C).transpose(2, 3, 0, 1)
+
+
 def _check_conv(op: str, x: Tensor, weight: Tensor, stride: int, layout: str) -> None:
     """NCHW input, a 4-D weight in `layout` ("OIkk" or "IOkk"), stride >= 1."""
     if x.data.ndim != 4:
@@ -499,13 +568,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ow = (W - kw) // stride + 1
 
     # the weight gradient is taken when the weight required one at forward time
-    out_data, bands = _correlate(xp.data, weight.data.reshape(O, I * kh * kw),
-                                 kh, kw, stride, oh, ow, weight.requires_grad)
+    grad_w = weight.requires_grad
+    kn2row = stride == 1 and O < I
+    if kn2row:
+        out_data, bands = _kn2row(xp.data, weight.data, oh, ow), []
+    else:
+        out_data, bands = _correlate(xp.data, weight.data.reshape(O, I * kh * kw),
+                                     kh, kw, stride, oh, ow, grad_w)
     out_data = _add_bias("conv2d", out_data, weight, bias)
 
     def backward(g):
         if bands:
             _accum(weight, _weight_grad(g, bands, weight.shape))
+        elif kn2row and grad_w:
+            _accum(weight, _kn2row_weight_grad(g, xp.data, kh, kw))
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if xp.requires_grad:

@@ -184,6 +184,22 @@ def case_conv2d_gather(rng):
     return fn, {"x": x, "w": wt, "b": b}
 
 
+def case_conv2d_taps(rng):
+    # stride 1 and O < I: kn2row forward and weight gradient, even kernels too
+    n = int(rng.integers(1, 3))
+    ci = int(rng.integers(2, 5))
+    co = int(rng.integers(1, ci))
+    k = int(rng.choice([1, 2, 4, 7]))
+    p = int(rng.integers(0, k // 2 + 1))
+    lo = max(k - 2 * p, 1)
+    h, w = (int(v) for v in rng.integers(lo, lo + 3, size=2))
+    x = _probe(rng, (n, ci, h, w))
+    wt = Tensor(rng.normal(0.0, 0.5, (co, ci, k, k)), requires_grad=True)
+    b = Tensor(rng.normal(0.0, 0.5, co), requires_grad=True)
+    fn = lambda: _sq(T.conv2d(x, wt, b, stride=1, padding=p, pad_mode="zero"))
+    return fn, {"x": x, "w": wt, "b": b}
+
+
 def case_conv2d_banded(rng):
     return _conv_case(rng, "zero")
 
@@ -267,6 +283,7 @@ OPS = {
     "conv2d": case_conv2d,
     "conv2d_reflect": case_conv2d_reflect,
     "conv2d_gather": case_conv2d_gather,
+    "conv2d_taps": case_conv2d_taps,
     "conv2d_banded": case_conv2d_banded,
     "conv_transpose2d": case_conv_transpose2d,
     "conv_transpose2d_banded": case_conv_transpose2d_banded,

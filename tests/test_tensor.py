@@ -229,6 +229,59 @@ def test_no_grad_head_conv_never_holds_its_column_matrix():
     assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
+def test_trainable_head_conv_keeps_no_column_matrix():
+    # 16 -> 3 channels, 7x7, 256x256 output, the student's head: kept column
+    # bands would hold 784 x 65536 float32 = 205 MB until backward
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 16, 262, 262)).astype(np.float32))
+    w = Tensor(rng.normal(size=(3, 16, 7, 7)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 3, 256, 256)
+    assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    T.reduce_sum(out).backward()
+    assert w.grad.shape == w.shape and w.grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("run", [1, 3, 16])
+def test_kn2row_tap_runs_match_loops(run, monkeypatch):
+    # stride 1 and O < I: runs of 1, 3 (not dividing 16 taps) and all taps
+    rng = np.random.default_rng(run)
+    x = rng.normal(size=(2, 5, 6, 7))
+    w = rng.normal(size=(2, 5, 4, 4))
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    monkeypatch.setattr(T, "BLOCK_ELEMS", run * 2 * 2 * 8 * 9)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, None, stride=1, padding=1)
+    g = rng.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    assert np.max(np.abs(out.data - conv2d_loops(x, w, None, 1, 1))) < 1e-12
+    dxp, dw = conv2d_grads_loops(xp, w, g, 1)
+    assert np.max(np.abs(wt.grad - dw)) < 1e-12
+    assert np.max(np.abs(xt.grad - dxp[:, :, 1:-1, 1:-1])) < 1e-12
+
+
+def test_kn2row_with_a_frozen_weight_takes_only_the_input_gradient():
+    # a PatchGAN head under the generator objective: weight frozen, input live
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2, 6, 5, 6))
+    w = rng.normal(size=(1, 6, 4, 4))
+    b = rng.normal(size=1)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w)
+    out = T.conv2d(xt, wt, Tensor(b), stride=1, padding=1, pad_mode="reflect")
+    g = rng.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+    assert np.max(np.abs(out.data - conv2d_loops(xp, w, b, 1, 0))) < 1e-12
+    dxp, _ = conv2d_grads_loops(xp, w, g, 1)
+    assert np.max(np.abs(xt.grad - _pad_adjoint(dxp, 1, "reflect", 5, 6))) < 1e-12
+    assert wt.grad is None
+
+
 def test_conv2d_identity_kernel_preserves_input():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(1, 3, 5, 5))
@@ -435,6 +488,21 @@ def test_mixed_dtypes_are_rejected(op):
     }
     with pytest.raises(TypeError, match="float32 and float64"):
         calls.get(op, lambda: getattr(T, op)(a, b))()
+
+
+def test_leaky_relu_gradients_stay_in_the_operand_dtype(monkeypatch):
+    seen = []
+    accum = T._accum
+
+    def spy(t, g):
+        seen.append(g.dtype)
+        accum(t, g)
+
+    monkeypatch.setattr(T, "_accum", spy)
+    x = Tensor(np.array([[-1.5, 0.0, 2.0]], dtype=np.float32), requires_grad=True)
+    T.reduce_sum(T.leaky_relu(x, 0.2)).backward()
+    assert seen and all(d == np.float32 for d in seen), seen
+    assert np.array_equal(x.grad, np.array([[0.2, 1.0, 1.0]], dtype=np.float32))
 
 
 def test_scale_keeps_the_operand_dtype():

@@ -299,10 +299,11 @@ def _read_netpbm(path) -> tuple[bytes, np.ndarray]:
             pos = end
     pos += 1  # single whitespace after maxval
 
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise CodecError(f"{path}: non-numeric header fields {tokens}")
+    # int() would also take a sign, underscores and non-ASCII digits
+    for name, t in zip(("width", "height", "maxval"), tokens):
+        if not t.isdigit():  # bytes: ASCII 0-9 only
+            raise CodecError(f"{path}: header {name} {t!r} is not a decimal number")
+    w, h, maxval = (int(t) for t in tokens)
     if maxval != 255:
         raise CodecError(f"{path}: only maxval 255 supported, got {maxval}")
 
@@ -370,11 +371,21 @@ def _write_domain(root: Path, name: str, imgs, masks) -> None:
         write_pgm(d / f"{i:04d}_mask.pgm", masks[i])
 
 
-def _read_domain(root: Path, name: str):
+def _read_domain(root: Path, name: str, count: int, res: int):
+    """The `count` images and masks of one domain, each res x res."""
     d = root / name
     paths = sorted(d.glob("*.ppm"))
-    imgs = np.stack([read_ppm(p) for p in paths])
-    masks = np.stack([read_pgm(p.with_name(p.stem + "_mask.pgm")) for p in paths])
+    if len(paths) != count:
+        raise CodecError(f"{d}: {len(paths)} images, the manifest says {count}")
+    imgs = np.empty((count, res, res, 3), dtype=np.uint8)
+    masks = np.empty((count, res, res), dtype=np.uint8)
+    for i, p in enumerate(paths):
+        for path, read, dst in ((p, read_ppm, imgs),
+                                (p.with_name(p.stem + "_mask.pgm"), read_pgm, masks)):
+            arr = read(path)
+            if arr.shape != dst.shape[1:]:
+                raise CodecError(f"{path}: shape {arr.shape}, expected {dst.shape[1:]}")
+            dst[i] = arr
     return imgs, masks
 
 
@@ -410,10 +421,11 @@ def load_unpaired(root) -> tuple[UnpairedDatasetSpec, UnpairedDataset]:
         noise=manifest_value(m, "noise", float),
         seed=manifest_value(m, "seed", int),
     )
-    train_a, mask_train_a = _read_domain(root, "trainA")
-    train_b, mask_train_b = _read_domain(root, "trainB")
-    test_a, mask_test_a = _read_domain(root, "testA")
-    test_b, mask_test_b = _read_domain(root, "testB")
+    res, n_train, n_test = spec.resolution, spec.train_samples, spec.test_samples
+    train_a, mask_train_a = _read_domain(root, "trainA", n_train, res)
+    train_b, mask_train_b = _read_domain(root, "trainB", n_train, res)
+    test_a, mask_test_a = _read_domain(root, "testA", n_test, res)
+    test_b, mask_test_b = _read_domain(root, "testB", n_test, res)
     return spec, UnpairedDataset(train_a, train_b, test_a, test_b,
                                  mask_train_a, mask_train_b,
                                  mask_test_a, mask_test_b)
@@ -441,12 +453,21 @@ def load_paired(root) -> tuple[PairedDatasetSpec, list[PairedSample], list[Paire
         seed=manifest_value(m, "seed", int),
     )
     splits = []
-    for name in ("train", "test"):
+    for name, count in (("train", spec.train_samples), ("test", spec.test_samples)):
+        labels = sorted((root / name).glob("*_label.pgm"))
+        if len(labels) != count:
+            raise CodecError(f"{root / name}: {len(labels)} labels, the manifest says {count}")
         samples = []
-        for lp in sorted((root / name).glob("*_label.pgm")):
+        for lp in labels:
             label = read_pgm(lp)
             photo = read_ppm(lp.with_name(lp.name.replace("_label.pgm",
                                                           "_photo.ppm")))
-            samples.append(PairedSample(label, photo, label.copy()))
+            if label.shape != (spec.resolution,) * 2:
+                raise CodecError(f"{lp}: shape {label.shape}, the manifest says "
+                                 f"{spec.resolution}x{spec.resolution}")
+            try:
+                samples.append(PairedSample(label, photo, label.copy()))
+            except ValueError as e:
+                raise CodecError(f"{lp}: {e}") from None
         splits.append(samples)
     return spec, splits[0], splits[1]

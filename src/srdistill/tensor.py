@@ -384,20 +384,21 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 #     shifted slice-add per tap (kn2row: Vasudevan et al. 2017, arXiv
 #     1704.04428). A run's product holds at most BLOCK_ELEMS elements (at
 #     least one tap). _kn2row_weight_grad, its weight gradient, stacks the
-#     output gradient at each tap's shift and reads only the padded input,
-#     which the graph holds anyway; it keeps no columns.
+#     output gradient at each tap's shift against the same padded input.
 #   - _correlate, w2d @ im2col(x), is conv2d's forward at every other shape
 #     and conv_transpose2d's input gradient. It works one band of output rows
-#     at a time; a band's columns, one sliding-window gather, hold at most
-#     BLOCK_ELEMS elements (at least one row) and are kept only for a weight
-#     gradient.
+#     at a time (_bands); a band's columns, one sliding-window gather, hold at
+#     most BLOCK_ELEMS elements (at least one row) and are dropped at once.
 #   - _adjoint, a conv's input gradient, is conv2d's backward and
 #     conv_transpose2d's forward. At stride 1 and O < I it gathers: the
 #     _correlate of the zero-padded gradient with the flipped, transposed
 #     kernel. Otherwise it scatters w^T @ g onto the image with _col2im, also
 #     past the natural extent where output_padding > padding.
-#   - _weight_grad sums g_b @ cols_b^T over _correlate's kept bands; conv2d
-#     passes its output gradient as g, conv_transpose2d its input.
+#   - _weight_grad sums g_b @ cols_b^T over the same bands, regathered from
+#     an input the backward holds anyway: conv2d's padded input (a graph
+#     parent) against its output gradient, conv_transpose2d's embedded output
+#     gradient against its input. So no conv keeps columns from forward to
+#     backward; one more gather buys that (Chen et al. 2016, arXiv 1604.06174).
 # Padding stays its own pad2d node: perfbench's tracer times it as one call
 # inside conv2d, and its reflect-fold backward is shared with other callers.
 
@@ -432,25 +433,24 @@ def _col2im(cols: np.ndarray, C: int, H: int, W: int, kh: int, kw: int,
     return x
 
 
-def _correlate(x: np.ndarray, w2d: np.ndarray, kh: int, kw: int, stride: int,
-               oh: int, ow: int, keep: bool):
-    """``w2d @ _im2col(x)`` as (N, O, oh, ow), one band of output rows at a time.
-
-    Returns the result and, when ``keep``, the (y0, y1, columns) of each band.
-    """
+def _bands(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
+    """(y0, y1, _im2col columns) per band of output rows of a correlation of x."""
     N, C = x.shape[:2]
-    O = w2d.shape[0]
     rows = max(1, BLOCK_ELEMS // (N * C * kh * kw * ow))
-    out = np.empty((N, O, oh, ow), dtype=np.result_type(x, w2d))
-    bands = []
     for y0 in range(0, oh, rows):
         y1 = min(y0 + rows, oh)
-        cols = _im2col(x[:, :, y0 * stride:(y1 - 1) * stride + kh],
-                       kh, kw, stride, y1 - y0, ow)
+        yield y0, y1, _im2col(x[:, :, y0 * stride:(y1 - 1) * stride + kh],
+                              kh, kw, stride, y1 - y0, ow)
+
+
+def _correlate(x: np.ndarray, w2d: np.ndarray, kh: int, kw: int, stride: int,
+               oh: int, ow: int) -> np.ndarray:
+    """``w2d @ _im2col(x)`` as (N, O, oh, ow), band by band; keeps no columns."""
+    N, O = x.shape[0], w2d.shape[0]
+    out = np.empty((N, O, oh, ow), dtype=np.result_type(x, w2d))
+    for y0, y1, cols in _bands(x, kh, kw, stride, oh, ow):
         out[:, :, y0:y1] = (w2d @ cols).reshape(N, O, y1 - y0, ow)
-        if keep:
-            bands.append((y0, y1, cols))
-    return out, bands
+    return out
 
 
 def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.ndarray:
@@ -459,17 +459,18 @@ def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.nd
     _, I, kh, kw = w.shape
     if stride == 1 and O < I:
         wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(I, O * kh * kw)
-        return _correlate(_embed(g, kh - 1, kw - 1), wf, kh, kw, 1, H, W, False)[0]
+        return _correlate(_embed(g, kh - 1, kw - 1), wf, kh, kw, 1, H, W)
     dcols = w.reshape(O, I * kh * kw).T @ g.reshape(N, O, oh * ow)
     return _col2im(dcols, I, H, W, kh, kw, stride, oh, ow)
 
 
-def _weight_grad(g: np.ndarray, bands, shape) -> np.ndarray:
-    """Sum of ``g_b @ cols_b^T`` over the kept bands of a _correlate, as `shape`."""
-    N, C, _, ow = g.shape
+def _weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
+                 shape) -> np.ndarray:
+    """Sum of ``g_b @ cols_b^T`` over the bands of _im2col(x), regathered, as `shape`."""
+    N, O, oh, ow = g.shape
     dw = 0
-    for y0, y1, cols in bands:
-        gb = g[:, :, y0:y1].reshape(N, C, (y1 - y0) * ow)
+    for y0, y1, cols in _bands(x, kh, kw, stride, oh, ow):
+        gb = g[:, :, y0:y1].reshape(N, O, (y1 - y0) * ow)
         dw = dw + (cols @ gb.transpose(0, 2, 1)).sum(axis=0)
     return dw.T.reshape(shape)
 
@@ -545,11 +546,12 @@ def _check_conv(op: str, x: Tensor, weight: Tensor, stride: int, layout: str) ->
 
 
 def _add_bias(op: str, out: np.ndarray, weight: Tensor, bias: Tensor | None):
-    """A contiguous ``out`` plus the per-channel bias, when there is one."""
-    if bias is None:
-        return np.ascontiguousarray(out)
-    _operands(op, weight, bias, (out.shape[1],))
-    return out + bias.data.reshape(1, -1, 1, 1)
+    """A contiguous ``out`` (the op's own, never an operand) plus the bias, in place."""
+    out = np.ascontiguousarray(out)
+    if bias is not None:
+        _operands(op, weight, bias, (out.shape[1],))
+        out += bias.data.reshape(1, -1, 1, 1)
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -570,18 +572,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # the weight gradient is taken when the weight required one at forward time
     grad_w = weight.requires_grad
     kn2row = stride == 1 and O < I
-    if kn2row:
-        out_data, bands = _kn2row(xp.data, weight.data, oh, ow), []
-    else:
-        out_data, bands = _correlate(xp.data, weight.data.reshape(O, I * kh * kw),
-                                     kh, kw, stride, oh, ow, grad_w)
+    out_data = (_kn2row(xp.data, weight.data, oh, ow) if kn2row else
+                _correlate(xp.data, weight.data.reshape(O, -1), kh, kw, stride, oh, ow))
     out_data = _add_bias("conv2d", out_data, weight, bias)
 
     def backward(g):
-        if bands:
-            _accum(weight, _weight_grad(g, bands, weight.shape))
-        elif kn2row and grad_w:
+        if grad_w and kn2row:
             _accum(weight, _kn2row_weight_grad(g, xp.data, kh, kw))
+        elif grad_w:
+            _accum(weight, _weight_grad(g, xp.data, kh, kw, stride, weight.shape))
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
         if xp.requires_grad:
@@ -601,7 +600,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     _check_conv("conv_transpose2d", x, weight, stride, "IOkk")
     if padding < 0 or not 0 <= output_padding < stride:
         raise ShapeError("conv_transpose2d: need 0 <= padding and 0 <= output_padding < stride")
-    I, O, kh, kw = weight.shape
+    I, _, kh, kw = weight.shape
     H, W = x.shape[2:]
     p = padding
     out_h = (H - 1) * stride - 2 * p + kh + output_padding
@@ -616,13 +615,12 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def backward(g):
         # the windows read only the natural extent, which the embedding covers
-        dx, bands = _correlate(_embed(g, p, p), weight.data.reshape(I, O * kh * kw),
-                               kh, kw, stride, H, W, weight.requires_grad)
-        if bands:
-            _accum(weight, _weight_grad(x.data, bands, weight.shape))
+        ge = _embed(g, p, p)
+        if weight.requires_grad:
+            _accum(weight, _weight_grad(x.data, ge, kh, kw, stride, weight.shape))
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        _accum(x, dx)
+        _accum(x, _correlate(ge, weight.data.reshape(I, -1), kh, kw, stride, H, W))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)

@@ -294,7 +294,7 @@ OPS = {
 
 
 # run with one output row per band, forward and backward, so the weight
-# gradient sums over several bands
+# gradient sums over several bands, each regathered in backward
 ONE_ROW_BANDS = {"conv2d_banded", "conv_transpose2d_banded"}
 
 

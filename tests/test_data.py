@@ -160,6 +160,22 @@ def test_bad_magic_and_maxval_rejected(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("magic, fields, nbytes, name", [
+    (b"P6", b"-2 -3", 18, "width"),
+    (b"P5", b"-4 -1", 4, "width"),
+    (b"P6", b"+4 4", 48, "width"),
+    (b"P6", b"1_0 1", 30, "width"),
+    (b"P5", b"4 -4", 16, "height"),
+    (b"P5", b"1 1\n+255", 1, "maxval"),
+], ids=["minus_ppm", "minus_pgm", "plus", "underscore", "minus_height", "plus_maxval"])
+def test_header_fields_are_plain_decimal_digits(tmp_path, magic, fields, nbytes, name):
+    p = tmp_path / "h.pnm"
+    maxval = b"" if b"\n" in fields else b"\n255"
+    p.write_bytes(magic + b"\n" + fields + maxval + b"\n" + bytes(nbytes))
+    with pytest.raises(CodecError, match=name):
+        read_image(p)
+
+
 def test_wrong_format_for_reader(tmp_path):
     p = tmp_path / "m.pgm"
     write_pgm(p, np.zeros((2, 2), dtype=np.uint8))
@@ -248,3 +264,60 @@ def test_malformed_manifest_is_a_codec_error(tmp_path, loader, kind, fault):
     (tmp_path / "manifest.txt").write_bytes(text + fault + b"\n")
     with pytest.raises(CodecError, match="manifest"):
         loader(tmp_path)
+
+
+def test_unpaired_without_test_samples_round_trips(tmp_path):
+    spec = UnpairedDatasetSpec(train_samples=1, test_samples=0)
+    save_unpaired(tmp_path, spec, gen_unpaired(spec))
+    _, ds = load_unpaired(tmp_path)
+    assert ds.test_a.shape == (0, 32, 32, 3) and ds.mask_test_b.shape == (0, 32, 32)
+
+
+@pytest.mark.parametrize("fault, culprit", [
+    ("empty_domain", "testA"),
+    ("small_image", "0001.ppm"),
+    ("small_mask", "0001_mask.pgm"),
+])
+def test_malformed_unpaired_domain_is_a_codec_error(tmp_path, fault, culprit):
+    spec = UnpairedDatasetSpec(train_samples=2, test_samples=1)
+    save_unpaired(tmp_path, spec, gen_unpaired(spec))
+    if fault == "empty_domain":
+        for f in (tmp_path / "testA").iterdir():
+            f.unlink()
+    elif fault == "small_image":
+        write_ppm(tmp_path / "trainA" / culprit, np.zeros((16, 16, 3), np.uint8))
+    else:
+        write_pgm(tmp_path / "trainB" / culprit, np.zeros((16, 16), np.uint8))
+    with pytest.raises(CodecError, match=culprit):
+        load_unpaired(tmp_path)
+
+
+@pytest.mark.parametrize("image, culprit", [
+    (np.full((32, 32), 250, np.uint8), "0000_label.pgm"),
+    (np.zeros((16, 16), np.uint8), "0000_label.pgm"),
+    (np.zeros((16, 16, 3), np.uint8), "0000_label.pgm"),
+    (None, "train"),
+], ids=["class_outside_palette", "small_label", "small_photo", "missing_sample"])
+def test_malformed_paired_sample_is_a_codec_error(tmp_path, image, culprit):
+    spec = PairedDatasetSpec(resolution=32, train_samples=1, test_samples=0)
+    train, test = gen_paired(spec)
+    save_paired(tmp_path, spec, train, test)
+    if image is None:
+        (tmp_path / "train" / "0000_label.pgm").unlink()
+    elif image.ndim == 3:
+        write_ppm(tmp_path / "train" / "0000_photo.ppm", image)
+    else:
+        write_pgm(tmp_path / "train" / "0000_label.pgm", image)
+    with pytest.raises(CodecError, match=culprit):
+        load_paired(tmp_path)
+
+
+def test_paired_label_and_photo_of_another_size_is_a_codec_error(tmp_path):
+    # consistent with each other, but not with the manifest's resolution
+    spec = PairedDatasetSpec(resolution=32, train_samples=1, test_samples=0)
+    train, test = gen_paired(spec)
+    save_paired(tmp_path, spec, train, test)
+    write_pgm(tmp_path / "train" / "0000_label.pgm", np.zeros((40, 40), np.uint8))
+    write_ppm(tmp_path / "train" / "0000_photo.ppm", np.zeros((40, 40, 3), np.uint8))
+    with pytest.raises(CodecError, match="0000_label.pgm"):
+        load_paired(tmp_path)

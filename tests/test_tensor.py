@@ -247,6 +247,66 @@ def test_trainable_head_conv_keeps_no_column_matrix():
     assert w.grad.shape == w.shape and w.grad.dtype == np.float32
 
 
+@pytest.mark.parametrize("op, x_shape, w_shape, pad", [
+    (lambda x, w: T.conv2d(x, w, stride=2, padding=1), (1, 32, 128, 128), (32, 32, 3, 3), 1),
+    (lambda x, w: T.conv2d(x, w, stride=1, padding=1), (1, 32, 64, 64), (32, 32, 3, 3), 1),
+    (lambda x, w: T.conv_transpose2d(x, w, stride=2, padding=1),
+     (1, 32, 128, 128), (32, 16, 4, 4), 0),
+], ids=["stride2", "stride1_wide", "transpose"])
+def test_trainable_convs_keep_no_columns_until_backward(op, x_shape, w_shape, pad,
+                                                        monkeypatch):
+    # 1 MB bands: each full column matrix here is 4.5-16 MB
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 2 ** 18)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=x_shape).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape).astype(np.float32), requires_grad=True)
+    n, c, h, wd = x_shape
+    tracemalloc.start()
+    try:
+        out = op(x, w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    padded = n * c * (h + 2 * pad) * (wd + 2 * pad) * 4 if pad else 0
+    assert held < out.data.nbytes + padded + 2 ** 20, f"held {held / 2 ** 20:.1f} MB"
+    loss = T.reduce_sum(out)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if pad == 0:
+        # the convT's backward holds its output gradient and that embedded,
+        # the input gradient and its copy in x.grad, and one 1 MB band at a
+        # time of its 16 MB of columns
+        bound = 2 * out.data.nbytes + 2 * x.data.nbytes + 2 ** 20
+        assert peak < bound, f"backward peak {peak / 2 ** 20:.1f} MB"
+    for t in (x, w):
+        assert t.grad.shape == t.shape and t.grad.dtype == np.float32
+
+
+@pytest.mark.parametrize("op, w_shape, co", [
+    (lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1), (4, 3, 3, 3), 4),
+    (lambda x, w, b: T.conv2d(x, w, b), (2, 3, 1, 1), 2),
+    (lambda x, w, b: T.conv_transpose2d(x, w, b), (3, 4, 1, 1), 4),
+    (lambda x, w, b: T.conv_transpose2d(x, w, b, stride=2, padding=1, output_padding=1),
+     (3, 4, 3, 3), 4),
+], ids=["correlate", "kn2row", "transpose_whole", "transpose_cropped"])
+def test_conv_bias_lands_in_a_fresh_output(op, w_shape, co):
+    # the bias is added in place: into the op's own output, never an operand
+    rng = np.random.default_rng(5)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((2, 3, 6, 6), w_shape, co))
+    x0, w0, b0 = x.data.copy(), w.data.copy(), b.data.copy()
+    out = op(x, w, b)
+    for t in (x, w, b):
+        assert not np.shares_memory(out.data, t.data)
+    assert out.data.flags.c_contiguous
+    assert np.array_equal(out.data, op(x, w, None).data + b0.reshape(1, -1, 1, 1))
+    assert np.array_equal(x.data, x0) and np.array_equal(w.data, w0)
+    assert np.array_equal(b.data, b0)
+
+
 @pytest.mark.parametrize("run", [1, 3, 16])
 def test_kn2row_tap_runs_match_loops(run, monkeypatch):
     # stride 1 and O < I: runs of 1, 3 (not dividing 16 taps) and all taps

@@ -115,7 +115,8 @@ class Conv2d:
         self.padding = padding
         self.pad_mode = pad_mode
         self.weight = Tensor(
-            rng.normal(0.0, WEIGHT_STD, (out_ch, in_ch, kernel, kernel)).astype(dtype),
+            rng.normal(0.0, WEIGHT_STD, (out_ch, in_ch, kernel, kernel))
+            .astype(dtype, copy=False),
             requires_grad=True)
         self.bias = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
 
@@ -142,7 +143,8 @@ class ConvTranspose2d:
         self.padding = padding
         self.output_padding = output_padding
         self.weight = Tensor(
-            rng.normal(0.0, WEIGHT_STD, (in_ch, out_ch, kernel, kernel)).astype(dtype),
+            rng.normal(0.0, WEIGHT_STD, (in_ch, out_ch, kernel, kernel))
+            .astype(dtype, copy=False),
             requires_grad=True)
         self.bias = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
 
@@ -448,11 +450,25 @@ def save_model(path, model: Model) -> None:
                      [(n, t.data) for n, t in model.named_params()])
 
 
+class _NoDraws:
+    """Stands in for the RNG of a skeleton whose weights are all replaced.
+
+    Its ``normal`` draws nothing: it returns an uninitialised array of the
+    skeleton's dtype, which the layers keep without a copy.
+    """
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def normal(self, loc, scale, size):
+        return np.empty(size, dtype=self.dtype)
+
+
 def load_model(path, dtype=np.float32) -> Model:
     """Rebuild a model from a checkpoint; parameters load as float32 values."""
     manifest, params = read_checkpoint(path)
     spec = spec_from_manifest(manifest)
-    model = build_model(spec, np.random.default_rng(0), dtype=dtype)
+    model = build_model(spec, _NoDraws(dtype), dtype=dtype)
     stored = dict(params)
     expected = [n for n, _ in model.named_params()]
     missing = [n for n in expected if n not in stored]
@@ -463,7 +479,7 @@ def load_model(path, dtype=np.float32) -> Model:
         arr = stored[name]
         if arr.shape != t.shape:
             raise ValueError(f"{name}: checkpoint shape {arr.shape} vs model {t.shape}")
-        t.data = arr.astype(dtype)
+        t.data = arr.astype(dtype, copy=False)  # the decoder's own copy
     return model
 
 

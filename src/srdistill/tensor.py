@@ -332,6 +332,22 @@ def _embed(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
+def _pad(x: np.ndarray, p: int, mode: str) -> np.ndarray:
+    """x (N, C, H, W) padded by p on every side; pad2d checks the arguments."""
+    if mode == "zero":
+        return _embed(x, p, p)
+    N, C, H, W = x.shape
+    out = np.empty((N, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
+    out[:, :, p:p + H, p:p + W] = x
+    # mirror rows without the edge row, then whole columns (corners
+    # included); reversed forward slices avoid a stop of -1 at p = H - 1
+    out[:, :, :p, p:p + W] = x[:, :, 1:p + 1][:, :, ::-1]
+    out[:, :, p + H:, p:p + W] = x[:, :, H - 1 - p:H - 1][:, :, ::-1]
+    out[..., :p] = out[..., p + 1:2 * p + 1][..., ::-1]
+    out[..., p + W:] = out[..., W - 1:W + p - 1][..., ::-1]
+    return out
+
+
 def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
     """Pad the last two axes by `padding` on every side (zero or reflect)."""
     if padding < 0:
@@ -343,7 +359,6 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
     N, C, H, W = a.shape
     p = padding
     if mode == "zero":
-        out_data = _embed(a.data, p, p)
 
         def backward(g):
             _accum(a, g[:, :, p:p + H, p:p + W])
@@ -353,22 +368,13 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
             raise ShapeError(
                 f"pad2d reflect: padding {p} too large for spatial size {H}x{W}"
             )
-        x = a.data
-        out_data = np.empty((N, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
-        out_data[:, :, p:p + H, p:p + W] = x
-        # mirror rows without the edge row, then whole columns (corners
-        # included); reversed forward slices avoid a stop of -1 at p = H - 1
-        out_data[:, :, :p, p:p + W] = x[:, :, 1:p + 1][:, :, ::-1]
-        out_data[:, :, p + H:, p:p + W] = x[:, :, H - 1 - p:H - 1][:, :, ::-1]
-        out_data[..., :p] = out_data[..., p + 1:2 * p + 1][..., ::-1]
-        out_data[..., p + W:] = out_data[..., W - 1:W + p - 1][..., ::-1]
 
         def backward(g):
             _accum(a, _reflect_fold(g, p, H, W))
 
     else:
         raise ValueError(f"pad2d: unknown mode {mode!r}")
-    return _make(out_data, (a,), backward)
+    return _make(_pad(a.data, p, mode), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -385,93 +391,125 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 #     1704.04428). A run's product holds at most BLOCK_ELEMS elements (at
 #     least one tap). _kn2row_weight_grad, its weight gradient, stacks the
 #     output gradient at each tap's shift against the same padded input.
-#   - _correlate, w2d @ im2col(x), is conv2d's forward at every other shape
-#     and conv_transpose2d's input gradient. It works one band of output rows
-#     at a time (_bands); a band's columns, one sliding-window gather, hold at
-#     most BLOCK_ELEMS elements (at least one row) and are dropped at once.
+#   - _correlate, w2d @ columns, is conv2d's forward at every other shape
+#     and conv_transpose2d's input gradient, one band of output rows at a
+#     time (_bands); a band's columns hold at most BLOCK_ELEMS elements (at
+#     least one row) and are dropped at once. At stride 1 a tap's columns
+#     are one flat span of the padded plane, rows at pitch Wp (kn2row's
+#     geometry), so the gather copies whole spans, not one short run per
+#     output row; the kw-1 wrap columns per row are dropped as the band's
+#     product is compacted into the output. Other strides gather windows.
 #   - _adjoint, a conv's input gradient, is conv2d's backward and
 #     conv_transpose2d's forward. At stride 1 and O < I it gathers: the
 #     _correlate of the zero-padded gradient with the flipped, transposed
-#     kernel. Otherwise it scatters w^T @ g onto the image with _col2im, also
-#     past the natural extent where output_padding > padding.
+#     kernel. Otherwise it scatters w^T @ g band by band, one tap at a time,
+#     onto the same windows of the image (spans at stride 1), also past the
+#     natural extent where output_padding > padding.
 #   - _weight_grad sums g_b @ cols_b^T over the same bands, regathered from
-#     an input the backward holds anyway: conv2d's padded input (a graph
-#     parent) against its output gradient, conv_transpose2d's embedded output
-#     gradient against its input. So no conv keeps columns from forward to
-#     backward; one more gather buys that (Chen et al. 2016, arXiv 1604.06174).
-# Padding stays its own pad2d node: perfbench's tracer times it as one call
-# inside conv2d, and its reflect-fold backward is shared with other callers.
+#     an input the backward holds anyway or rebuilds: conv2d's input padded
+#     again (_pad) against its output gradient, conv_transpose2d's embedded
+#     output gradient against its input. So no conv keeps columns or a
+#     padded copy from forward to backward; one more pad and gather buy that
+#     (Chen et al. 2016, arXiv 1604.06174). The scatter and the weight
+#     gradient widen g once to the bands' pitch with zero wrap columns
+#     (_widen), so the wrap columns add nothing.
+# Padding stays a pad2d call (perfbench's tracer times it inside conv2d) whose
+# backward folds conv2d's input gradient; its node and data leave the graph.
 
 # elements of one band's column matrix or one tap run's product: 2**20,
 # 4 MB in float32
 BLOCK_ELEMS = 2 ** 20
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-            oh: int, ow: int) -> np.ndarray:
-    """Gather kh*kw windows anchored at (stride*y, stride*x) into columns.
-
-    Exact adjoint of :func:`_col2im` for the same geometry.
-    """
-    N, C = x.shape[:2]
-    s = stride
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, :s * (oh - 1) + 1:s, :s * (ow - 1) + 1:s]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(N, C * kh * kw, oh * ow)
-
-
-def _col2im(cols: np.ndarray, C: int, H: int, W: int, kh: int, kw: int,
-            stride: int, oh: int, ow: int) -> np.ndarray:
-    """Scatter-add columns back onto an image; adjoint of :func:`_im2col`."""
-    N = cols.shape[0]
-    cols6 = cols.reshape(N, C, kh, kw, oh, ow)
-    x = np.zeros((N, C, H, W), dtype=cols.dtype)
-    s = stride
-    for i in range(kh):
-        for j in range(kw):
-            x[:, :, i:i + s * oh:s, j:j + s * ow:s] += cols6[:, :, i, j]
-    return x
-
-
 def _bands(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
-    """(y0, y1, _im2col columns) per band of output rows of a correlation of x."""
-    N, C = x.shape[:2]
-    rows = max(1, BLOCK_ELEMS // (N * C * kh * kw * ow))
-    for y0 in range(0, oh, rows):
-        y1 = min(y0 + rows, oh)
-        yield y0, y1, _im2col(x[:, :, y0 * stride:(y1 - 1) * stride + kh],
-                              kh, kw, stride, y1 - y0, ow)
+    """Row pitch of the bands, and (y0, y1, windows) per band of output rows.
+
+    ``windows``, a (N, C, kh, kw, *tail) view of x (of x itself when it is
+    C-contiguous), holds per tap the inputs of output rows y0:y1: at stride
+    1 one flat span of ``(y1-y0-1)*Wp + ow`` elements, rows at pitch Wp;
+    otherwise the (y1-y0, ow) windows at (stride*y, stride*x), rows at pitch
+    ow. Reshaped to (N, C*kh*kw, span) they are the band's columns.
+    """
+    x = np.ascontiguousarray(x)  # a span reads the plane as one flat row
+    N, C, Hp, Wp = x.shape
+    sW = x.itemsize  # C order's own strides: a length-1 axis may report any
+    sN, sC, sH = C * Hp * Wp * sW, Hp * Wp * sW, Wp * sW
+    pitch = Wp if stride == 1 else ow
+    rows = max(1, BLOCK_ELEMS // (N * C * kh * kw * pitch))
+
+    def bands():
+        for y0 in range(0, oh, rows):
+            y1 = min(y0 + rows, oh)
+            if stride == 1:
+                tail, steps = ((y1 - y0 - 1) * Wp + ow,), (sW,)
+            else:
+                tail, steps = (y1 - y0, ow), (stride * sH, stride * sW)
+            yield y0, y1, np.ndarray((N, C, kh, kw) + tail, x.dtype, x,
+                                     y0 * stride * sH, (sN, sC, sH, sW) + steps)
+
+    return pitch, bands()
+
+
+def _widen(g: np.ndarray, pitch: int) -> np.ndarray:
+    """g (N, O, oh, ow) as flat rows of length pitch, (N, O, oh*pitch), zero past ow."""
+    N, O, oh, ow = g.shape
+    if pitch != ow:
+        gw = np.zeros((N, O, oh, pitch), dtype=g.dtype)
+        gw[..., :ow] = g
+        g = gw
+    return g.reshape(N, O, oh * pitch)
 
 
 def _correlate(x: np.ndarray, w2d: np.ndarray, kh: int, kw: int, stride: int,
                oh: int, ow: int) -> np.ndarray:
-    """``w2d @ _im2col(x)`` as (N, O, oh, ow), band by band; keeps no columns."""
+    """``w2d @ columns(x)`` as (N, O, oh, ow), band by band; keeps no columns."""
     N, O = x.shape[0], w2d.shape[0]
     out = np.empty((N, O, oh, ow), dtype=np.result_type(x, w2d))
-    for y0, y1, cols in _bands(x, kh, kw, stride, oh, ow):
-        out[:, :, y0:y1] = (w2d @ cols).reshape(N, O, y1 - y0, ow)
+    pitch, bands = _bands(x, kh, kw, stride, oh, ow)
+    for y0, y1, win in bands:
+        prod = w2d @ win.reshape(N, w2d.shape[1], -1)
+        s = prod.strides  # the first ow of each row of pitch elements
+        out[:, :, y0:y1] = np.ndarray((N, O, y1 - y0, ow), prod.dtype, prod, 0,
+                                      s[:2] + (pitch * s[2], s[2]))
     return out
 
 
 def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.ndarray:
-    """(N, I, H, W) input gradient of a conv by w (O, I, kh, kw) for g (N, O, oh, ow)."""
+    """(N, I, H, W) input gradient of a conv by w (O, I, kh, kw) for g (N, O, oh, ow).
+
+    A gather at stride 1 and O < I; otherwise each band's ``w^T @ g_b`` is
+    added tap by tap onto that band's windows of the zeroed gradient.
+    """
     N, O, oh, ow = g.shape
     _, I, kh, kw = w.shape
     if stride == 1 and O < I:
         wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(I, O * kh * kw)
         return _correlate(_embed(g, kh - 1, kw - 1), wf, kh, kw, 1, H, W)
-    dcols = w.reshape(O, I * kh * kw).T @ g.reshape(N, O, oh * ow)
-    return _col2im(dcols, I, H, W, kh, kw, stride, oh, ow)
+    dx = np.zeros((N, I, H, W), dtype=np.result_type(g, w))
+    wt = w.reshape(O, I * kh * kw).T
+    pitch, bands = _bands(dx, kh, kw, stride, oh, ow)
+    gf = _widen(g, pitch)
+    for y0, y1, win in bands:
+        dcols = (wt @ gf[..., y0 * pitch:(y1 - 1) * pitch + ow]).reshape(win.shape)
+        for i in range(kh):
+            for j in range(kw):
+                win[:, :, i, j] += dcols[:, :, i, j]
+        del dcols  # before the next band's: see _weight_grad
+    return dx
 
 
 def _weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
                  shape) -> np.ndarray:
-    """Sum of ``g_b @ cols_b^T`` over the bands of _im2col(x), regathered, as `shape`."""
+    """Sum of ``g_b @ cols_b^T`` over the bands of x's columns, regathered, as `shape`."""
     N, O, oh, ow = g.shape
+    pitch, bands = _bands(x, kh, kw, stride, oh, ow)
+    gf = _widen(g, pitch)
     dw = 0
-    for y0, y1, cols in _bands(x, kh, kw, stride, oh, ow):
-        gb = g[:, :, y0:y1].reshape(N, O, (y1 - y0) * ow)
-        dw = dw + (cols @ gb.transpose(0, 2, 1)).sum(axis=0)
+    for y0, y1, win in bands:
+        # one band's columns alive at a time: with two, each call faulted its
+        # bands in afresh (~2200 minor faults, 2x the time at 64 ch, 64 px)
+        gb = gf[..., y0 * pitch:(y1 - 1) * pitch + ow]
+        dw = dw + (win.reshape(N, -1, gb.shape[2]) @ gb.transpose(0, 2, 1)).sum(axis=0)
     return dw.T.reshape(shape)
 
 
@@ -518,9 +556,7 @@ def _kn2row_weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.nd
     N, O, oh, ow = g.shape
     C, Hp, Wp = x.shape[1:]
     span = (oh - 1) * Wp + ow
-    gw = np.zeros((N, O, oh, Wp), dtype=g.dtype)
-    gw[..., :ow] = g
-    gf = gw.reshape(N, O, oh * Wp)[..., :span]
+    gf = _widen(g, Wp)[..., :span]
     xt = x.reshape(N, C, Hp * Wp).transpose(0, 2, 1)
     dw = np.empty((kh * kw * O, C), dtype=np.result_type(g, x))
     for t0, t1, offsets in _tap_groups(kh, kw, Wp, N * O * Hp * Wp):
@@ -575,18 +611,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_data = (_kn2row(xp.data, weight.data, oh, ow) if kn2row else
                 _correlate(xp.data, weight.data.reshape(O, -1), kh, kw, stride, oh, ow))
     out_data = _add_bias("conv2d", out_data, weight, bias)
+    fold = xp._backward_fn if xp is not x else None  # the pad node's, or None
+    del xp  # its data leaves with it; backward pads x again
 
     def backward(g):
-        if grad_w and kn2row:
-            _accum(weight, _kn2row_weight_grad(g, xp.data, kh, kw))
-        elif grad_w:
-            _accum(weight, _weight_grad(g, xp.data, kh, kw, stride, weight.shape))
+        if grad_w:
+            xpd = _pad(x.data, padding, pad_mode) if padding else x.data
+            _accum(weight, _kn2row_weight_grad(g, xpd, kh, kw) if kn2row else
+                   _weight_grad(g, xpd, kh, kw, stride, weight.shape))
+            del xpd  # before _adjoint allocates
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        if xp.requires_grad:
-            _accum(xp, _adjoint(g, weight.data, stride, H, W))
+        if x.requires_grad:
+            dxp = _adjoint(g, weight.data, stride, H, W)
+            fold(dxp) if fold else _accum(x, dxp)
 
-    parents = (xp, weight) if bias is None else (xp, weight, bias)
+    parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)
 
 
@@ -627,18 +667,28 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize every (n, c) slice to zero mean / unit variance. No affine."""
+    """Normalize every (n, c) slice to zero mean / unit variance. No affine.
+
+    The forward takes the mean, centres, sums the squares of the centred
+    map (so the variance is ``np.var``'s, bitwise) and scales in place; the
+    backward, ``(g - mean(g) - y*mean(g*y)) / std``, fills one temporary.
+    Every reduction is numpy's pairwise ``add.reduce``: a float32 map with
+    a large mean or a gradient nearly parallel to y needs its accuracy.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm expects NCHW, got shape {x.shape}")
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv_std
+    axes, n = (2, 3), x.data.shape[2] * x.data.shape[3]
+    y = x.data - np.add.reduce(x.data, axis=axes, keepdims=True) / n
+    inv_std = 1.0 / np.sqrt(np.add.reduce(y * y, axis=axes, keepdims=True) / n + eps)
+    y *= inv_std
 
     def backward(g):
-        gm = g.mean(axis=(2, 3), keepdims=True)
-        gym = (g * y).mean(axis=(2, 3), keepdims=True)
-        _accum(x, inv_std * (g - gm - y * gym))
+        t = g * y
+        np.multiply(y, np.add.reduce(t, axis=axes, keepdims=True) / n, out=t)
+        np.subtract(g, t, out=t)
+        t -= np.add.reduce(g, axis=axes, keepdims=True) / n
+        t *= inv_std
+        _accum(x, t)
 
     return _make(y, (x,), backward)
 

@@ -294,7 +294,8 @@ OPS = {
 
 
 # run with one output row per band, forward and backward, so the weight
-# gradient sums over several bands, each regathered in backward
+# gradient sums over several bands, each regathered in backward; at stride 1
+# a one-row band's span is ow elements, with no wrap columns
 ONE_ROW_BANDS = {"conv2d_banded", "conv_transpose2d_banded"}
 
 

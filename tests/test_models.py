@@ -281,3 +281,25 @@ def test_layers_look_their_op_up_at_call_time(monkeypatch):
     # discriminator: layer0..layer3, normed from layer1 on
     assert calls == {"relu": 6, "tanh": 1, "leaky_relu": 4,
                      "instance_norm": 7 + 3}
+
+
+def test_load_model_draws_no_random_init(tmp_path, monkeypatch):
+    # the skeleton's weights are all replaced, so it is built without draws,
+    # and each parameter is the decoded array, bit for bit
+    models = [build_generator(GeneratorSpec("resnet", 4, 2, resolution=16),
+                              np.random.default_rng(7), dtype=np.float32),
+              build_discriminator(DiscriminatorSpec(ndf=8, in_channels=6),
+                                  np.random.default_rng(9), dtype=np.float32)]
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_model made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for i, model in enumerate(models):
+        path = tmp_path / f"m{i}.ckpt"
+        save_model(path, model)
+        loaded = load_model(path)
+        for (name, t), (name2, t2) in zip(model.named_params(), loaded.named_params(),
+                                          strict=True):
+            assert name == name2 and t2.data.dtype == np.float32
+            assert t2.data.tobytes() == t.data.tobytes()

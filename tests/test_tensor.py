@@ -286,6 +286,110 @@ def test_trainable_convs_keep_no_columns_until_backward(op, x_shape, w_shape, pa
         assert t.grad.shape == t.shape and t.grad.dtype == np.float32
 
 
+@pytest.mark.parametrize("mode", ["zero", "reflect"])
+def test_conv2d_graph_keeps_no_padded_copy(mode):
+    # backward pads x again for the weight gradient, so after forward the
+    # graph holds the 256 KB output but not x padded (279 KB)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 16, 64, 64)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, w, padding=1, pad_mode=mode)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < out.data.nbytes + 2 ** 16, f"held {held / 2 ** 10:.0f} KB"
+    g = rng.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(g.astype(np.float32)))).backward()
+    xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1)),
+                mode="constant" if mode == "zero" else "reflect")
+    _, dw = conv2d_grads_loops(xp, w.data.astype(np.float64), g, 1)
+    assert np.max(np.abs(w.grad - dw)) < 1e-3 * np.max(np.abs(dw))
+
+
+def test_stride2_conv_backward_scatters_one_band_at_a_time(monkeypatch):
+    # the input gradient's w^T @ g, 4.5 MB whole here, is formed and folded
+    # onto the padded input gradient one 1 MB band at a time
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 2 ** 18)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 32, 128, 128)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True)
+    out = T.conv2d(x, w, stride=2, padding=1)
+    loss = T.reduce_sum(out)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output gradient, the padded input gradient, x.grad, one band
+    padded = 32 * 130 * 130 * 4
+    bound = out.data.nbytes + padded + x.data.nbytes + 2 ** 20
+    assert peak < bound, f"backward peak {peak / 2 ** 20:.1f} MB"
+    assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
+
+
+def test_stride2_conv_transpose_forward_scatters_one_band_at_a_time(monkeypatch):
+    # a 4 MB output from 16 MB of columns w^T @ x, one 1 MB band at a time
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 2 ** 18)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(1, 32, 128, 128)).astype(np.float32))
+    w = Tensor(rng.normal(size=(32, 16, 4, 4)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = T.conv_transpose2d(x, w, stride=2, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 16, 256, 256)
+    # the uncropped (258, 258) buffer, the cropped output, one band
+    assert peak < 2 * out.data.nbytes + 2 ** 20, f"forward peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("stride, co", [(1, 4), (1, 2), (2, 4)],
+                         ids=["spans", "spans_gather", "windows"])
+def test_multi_row_bands_match_loops(stride, co, monkeypatch):
+    # bands of two or three output rows, the last one short: at stride 1
+    # each tap's span carries wrap columns between its rows. The rows of a
+    # band are pitched at the padded width (10) at stride 1, the output
+    # width (4) at stride 2
+    n, ci, h, k = 2, 3, 9, 3
+    pitch = 10 if stride == 1 else 4
+    monkeypatch.setattr(T, "BLOCK_ELEMS", n * ci * k * k * pitch * 2)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(n, ci, h, h - 1))
+    w = rng.normal(size=(co, ci, k, k))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.conv2d(xt, wt, None, stride=stride, padding=1)
+    g = rng.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    assert np.max(np.abs(out.data - conv2d_loops(xp, w, None, stride, 0))) < 1e-12
+    dxp, dw = conv2d_grads_loops(xp, w, g, stride)
+    assert np.max(np.abs(xt.grad - dxp[:, :, 1:-1, 1:-1])) < 1e-12
+    assert np.max(np.abs(wt.grad - dw)) < 1e-12
+
+
+@pytest.mark.parametrize("co", [4, 2], ids=["scatter", "kn2row"])
+def test_stride1_conv_of_a_non_contiguous_input_matches_loops(co):
+    # at padding 0 pad2d hands conv2d its input as it is; a transposed view's
+    # plane is not one flat row, which the stride-1 spans read it as
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(2, 3, 7, 6)).transpose(0, 1, 3, 2)
+    assert not x.flags.c_contiguous
+    w = rng.normal(size=(co, 3, 3, 3))
+    b = rng.normal(size=co)
+    xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+    out = T.conv2d(xt, wt, bt)
+    g = rng.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    assert np.max(np.abs(out.data - conv2d_loops(x, w, b, 1, 0))) < 1e-12
+    dx, dw = conv2d_grads_loops(x, w, g, 1)
+    assert np.max(np.abs(xt.grad - dx)) < 1e-12
+    assert np.max(np.abs(wt.grad - dw)) < 1e-12
+
+
 @pytest.mark.parametrize("op, w_shape, co", [
     (lambda x, w, b: T.conv2d(x, w, b, stride=2, padding=1), (4, 3, 3, 3), 4),
     (lambda x, w, b: T.conv2d(x, w, b), (2, 3, 1, 1), 2),
@@ -412,6 +516,37 @@ def test_instance_norm_is_shift_and_scale_invariant():
     a = T.instance_norm(Tensor(x)).data
     b = T.instance_norm(Tensor(3.0 * x + 7.0)).data
     assert np.max(np.abs(a - b)) < 1e-4
+
+
+def _instance_norm_float32_errors(x, g):
+    """Max error of a float32 instance_norm's output, and relative error of
+    its input gradient for the upstream g, against float64 on the same values."""
+    runs = []
+    for dt in (np.float32, np.float64):
+        xt = Tensor(x.astype(dt), requires_grad=True)
+        y = T.instance_norm(xt)
+        T.reduce_sum(T.mul(y, Tensor(g.astype(dt)))).backward()
+        runs.append((y.data, xt.grad))
+    (y32, dx32), (y64, dx64) = runs
+    return (float(np.max(np.abs(y32 - y64))),
+            float(np.max(np.abs(dx32 - dx64)) / np.max(np.abs(dx64))))
+
+
+def test_instance_norm_float32_keeps_pairwise_accuracy():
+    # four 256x256 planes. With numpy's pairwise sums the output is within
+    # 5e-6 and the gradient within 2.1e-4 of float64 here; sums that
+    # accumulate in order (einsum reductions) land 8-20x further off
+    rng = np.random.default_rng(0)
+    x = rng.normal(100.0, 1.0, size=(1, 4, 256, 256)).astype(np.float32)
+    y_err, _ = _instance_norm_float32_errors(x, rng.normal(size=x.shape))
+    assert y_err < 2e-5
+    # g nearly parallel to y: the input gradient is what is left of g once
+    # its component along y cancels
+    x = rng.normal(size=(1, 4, 256, 256)).astype(np.float32)
+    y = T.instance_norm(Tensor(x.astype(np.float64))).data
+    g = y + 1e-3 * rng.normal(size=x.shape)
+    _, dx_err = _instance_norm_float32_errors(x, g)
+    assert dx_err < 5e-4
 
 
 def test_row_l2_normalize_unit_rows_and_zero_rows():

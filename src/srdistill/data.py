@@ -397,6 +397,14 @@ def _read_manifest(root: Path, kind: str) -> dict[str, str]:
     return m
 
 
+def _spec(root: Path, cls, **fields):
+    """``cls(**fields)``; a value the spec rejects is a CodecError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise CodecError(f"{root} manifest: {exc}") from None
+
+
 def save_unpaired(root, spec: UnpairedDatasetSpec, ds: UnpairedDataset) -> None:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -410,7 +418,8 @@ def save_unpaired(root, spec: UnpairedDatasetSpec, ds: UnpairedDataset) -> None:
 def load_unpaired(root) -> tuple[UnpairedDatasetSpec, UnpairedDataset]:
     root = Path(root)
     m = _read_manifest(root, "unpaired")
-    spec = UnpairedDatasetSpec(
+    spec = _spec(
+        root, UnpairedDatasetSpec,
         resolution=manifest_value(m, "resolution", int),
         train_samples=manifest_value(m, "train_samples", int),
         test_samples=manifest_value(m, "test_samples", int),
@@ -445,7 +454,8 @@ def save_paired(root, spec: PairedDatasetSpec, train, test) -> None:
 def load_paired(root) -> tuple[PairedDatasetSpec, list[PairedSample], list[PairedSample]]:
     root = Path(root)
     m = _read_manifest(root, "paired")
-    spec = PairedDatasetSpec(
+    spec = _spec(
+        root, PairedDatasetSpec,
         resolution=manifest_value(m, "resolution", int),
         train_samples=manifest_value(m, "train_samples", int),
         test_samples=manifest_value(m, "test_samples", int),

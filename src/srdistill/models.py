@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from . import tensor as T
-from .serialize import manifest_value, read_checkpoint, write_checkpoint
+from .serialize import CodecError, manifest_value, read_checkpoint, write_checkpoint
 from .tensor import Tensor
 
 WEIGHT_STD = 0.02
@@ -404,21 +404,21 @@ def build_discriminator(spec: DiscriminatorSpec, rng: np.random.Generator | None
 
 
 def spec_from_manifest(manifest: dict[str, str]) -> GeneratorSpec | DiscriminatorSpec:
-    """Spec of a checkpoint manifest; a missing or non-integer field is a CodecError."""
+    """Spec of a checkpoint manifest; a missing or rejected field is a CodecError."""
     kind = manifest.get("kind")
-
-    def num(key: str) -> int:
-        return manifest_value(manifest, key, int)
-
     if kind in ("resnet", "unet"):
-        return GeneratorSpec(
-            kind=kind, ngf=num("ngf"), n_blocks=num("n_blocks"),
-            in_channels=num("in_channels"), out_channels=num("out_channels"),
-            resolution=num("resolution"))
-    if kind == "patchgan":
-        return DiscriminatorSpec(ndf=num("ndf"), n_layers=num("n_layers"),
-                                 in_channels=num("in_channels"))
-    raise ValueError(f"unknown model kind in manifest: {kind!r}")
+        cls, fields = GeneratorSpec, {"kind": kind}
+        keys = ("ngf", "n_blocks", "in_channels", "out_channels", "resolution")
+    elif kind == "patchgan":
+        cls, fields = DiscriminatorSpec, {}
+        keys = ("ndf", "n_layers", "in_channels")
+    else:
+        raise CodecError(f"unknown model kind in manifest: {kind!r}")
+    fields.update((key, manifest_value(manifest, key, int)) for key in keys)
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise CodecError(f"checkpoint manifest: {exc}") from None
 
 
 def build_model(spec: GeneratorSpec | DiscriminatorSpec,
@@ -466,19 +466,23 @@ class _NoDraws:
 
 def load_model(path, dtype=np.float32) -> Model:
     """Rebuild a model from a checkpoint; parameters load as float32 values."""
-    manifest, params = read_checkpoint(path)
-    spec = spec_from_manifest(manifest)
+    try:
+        manifest, params = read_checkpoint(path)
+        spec = spec_from_manifest(manifest)
+    except CodecError as exc:
+        raise CodecError(f"{path}: {exc}") from None
     model = build_model(spec, _NoDraws(dtype), dtype=dtype)
     stored = dict(params)
     expected = [n for n, _ in model.named_params()]
     missing = [n for n in expected if n not in stored]
     extra = [n for n in stored if n not in expected]
     if missing or extra:
-        raise ValueError(f"checkpoint mismatch: missing {missing}, extra {extra}")
+        raise CodecError(f"{path}: checkpoint mismatch: missing {missing}, extra {extra}")
     for name, t in model.named_params():
         arr = stored[name]
         if arr.shape != t.shape:
-            raise ValueError(f"{name}: checkpoint shape {arr.shape} vs model {t.shape}")
+            raise CodecError(f"{path}: {name}: checkpoint shape {arr.shape} "
+                             f"vs model {t.shape}")
         t.data = arr.astype(dtype, copy=False)  # the decoder's own copy
     return model
 

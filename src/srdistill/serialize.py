@@ -145,14 +145,25 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[tuple[str, n
 
 
 def manifest_value(manifest: dict[str, str], key: str, conv):
-    """``conv(manifest[key])``; a missing key or a rejected value is a CodecError."""
+    """``conv(manifest[key])`` for conv ``int`` or ``float``, parsed strictly.
+
+    An int is ASCII decimal digits only, a float finite and ASCII without
+    underscores; a missing key or any other value is a CodecError.
+    """
     if key not in manifest:
         raise CodecError(f"manifest has no {key!r}")
+    text = manifest[key]
     try:
-        return conv(manifest[key])
+        # int() would also take a sign, underscores and non-ASCII digits;
+        # float() underscores, non-ASCII digits, nan and inf
+        if not text.isascii() or "_" in text or (conv is int and not text.isdigit()):
+            raise ValueError
+        value = conv(text)
+        if conv is float and not math.isfinite(value):
+            raise ValueError
+        return value
     except ValueError:
-        raise CodecError(f"manifest {key!r}: {manifest[key]!r} is not "
-                         f"{conv.__name__}") from None
+        raise CodecError(f"manifest {key!r}: {text!r} is not {conv.__name__}") from None
 
 
 def _atomic_write(path: str | Path, data: bytes) -> None:

@@ -381,43 +381,44 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # convolution
 #
 # A transposed convolution is the input gradient (the adjoint) of a
-# convolution (Dumoulin & Visin 2016, arXiv 1603.07285), so both ops share
-# four products; which one runs follows from the shapes alone:
-#   - _kn2row is conv2d's forward at stride 1 and O < I (the 7x7 heads, the
-#     last PatchGAN conv), where an im2col GEMM would have 1-3 rows against
-#     an input gathered kh*kw times. A run of taps is one GEMM of their
-#     stacked (taps*O, I) weight against the flat padded input, then one
-#     shifted slice-add per tap (kn2row: Vasudevan et al. 2017, arXiv
-#     1704.04428). A run's product holds at most BLOCK_ELEMS elements (at
-#     least one tap). _kn2row_weight_grad, its weight gradient, stacks the
-#     output gradient at each tap's shift against the same padded input.
-#   - _correlate, w2d @ columns, is conv2d's forward at every other shape
-#     and conv_transpose2d's input gradient, one band of output rows at a
-#     time (_bands); a band's columns hold at most BLOCK_ELEMS elements (at
-#     least one row) and are dropped at once. At stride 1 a tap's columns
-#     are one flat span of the padded plane, rows at pitch Wp (kn2row's
-#     geometry), so the gather copies whole spans, not one short run per
+# convolution, and a stride-1 convolution is the transposed convolution of
+# its flipped, transposed kernel (Dumoulin & Visin 2016, arXiv 1603.07285).
+# So both ops share three products, each run one band of output rows at a
+# time (_bands); a band's columns hold at most BLOCK_ELEMS elements (at
+# least one row) and are dropped at once:
+#   - _correlate, w2d @ columns, gathers each tap's window of the input. At
+#     stride 1 a tap's columns are one flat span of the padded plane, rows
+#     at pitch Wp (kn2row's geometry: Vasudevan et al. 2017, arXiv
+#     1704.04428), so the gather copies whole spans, not one short run per
 #     output row; the kw-1 wrap columns per row are dropped as the band's
 #     product is compacted into the output. Other strides gather windows.
-#   - _adjoint, a conv's input gradient, is conv2d's backward and
-#     conv_transpose2d's forward. At stride 1 and O < I it gathers: the
-#     _correlate of the zero-padded gradient with the flipped, transposed
-#     kernel. Otherwise it scatters w^T @ g band by band, one tap at a time,
-#     onto the same windows of the image (spans at stride 1), also past the
-#     natural extent where output_padding > padding.
+#   - _adjoint, a conv's input gradient, scatters w^T @ g band by band, one
+#     tap at a time, onto the same windows of the zeroed image (spans at
+#     stride 1), also past the natural extent where output_padding >
+#     padding. At stride 1 and O < I it gathers instead: the _correlate of
+#     the zero-padded gradient with the flipped, transposed kernel.
 #   - _weight_grad sums g_b @ cols_b^T over the same bands, regathered from
-#     an input the backward holds anyway or rebuilds: conv2d's input padded
-#     again (_pad) against its output gradient, conv_transpose2d's embedded
-#     output gradient against its input. So no conv keeps columns or a
-#     padded copy from forward to backward; one more pad and gather buy that
-#     (Chen et al. 2016, arXiv 1604.06174). The scatter and the weight
-#     gradient widen g once to the bands' pitch with zero wrap columns
-#     (_widen), so the wrap columns add nothing.
+#     an input the backward holds anyway or rebuilds. So no conv keeps
+#     columns or a padded copy from forward to backward; one more pad and
+#     gather buy that (Chen et al. 2016, arXiv 1604.06174). The scatter and
+#     the weight gradient widen g once to the bands' pitch with zero wrap
+#     columns (_widen), so the wrap columns add nothing.
+# Which product runs follows from the shapes alone. At stride 1 all three
+# of conv2d's copy kh*kw shifted windows (gathered, or scattered into) of
+# whichever side has fewer channels, the input on a tie. So where O < I
+# (the 7x7 heads, the last PatchGAN conv) the forward is the _adjoint
+# scatter of the flipped kernel onto a plane kh-1, kw-1 larger on each
+# side, cropped; the weight gradient is conv_transpose2d's with the roles
+# swapped, the embedded gradient's columns regathered against the input
+# padded again; the input gradient gathers. Otherwise, and at every other
+# stride, the forward and the weight gradient gather the padded input's
+# columns and the input gradient scatters. conv_transpose2d's forward is
+# the _adjoint; its backward embeds g and takes the _correlate and the
+# _weight_grad of that.
 # Padding stays a pad2d call (perfbench's tracer times it inside conv2d) whose
 # backward folds conv2d's input gradient; its node and data leave the graph.
 
-# elements of one band's column matrix or one tap run's product: 2**20,
-# 4 MB in float32
+# elements of one band's column matrix: 2**20, 4 MB in float32
 BLOCK_ELEMS = 2 ** 20
 
 
@@ -513,60 +514,6 @@ def _weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
     return dw.T.reshape(shape)
 
 
-def _tap_groups(kh: int, kw: int, Wp: int, per_tap: int):
-    """Runs t0:t1 of a kernel's taps, with each tap's offset in rows of Wp.
-
-    A run's stacked product holds at most BLOCK_ELEMS elements at ``per_tap``
-    each, and at least one tap.
-    """
-    group = max(1, BLOCK_ELEMS // per_tap)
-    for t0 in range(0, kh * kw, group):
-        t1 = min(t0 + group, kh * kw)
-        yield t0, t1, [t // kw * Wp + t % kw for t in range(t0, t1)]
-
-
-def _kn2row(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray:
-    """Stride-1 conv of x (N, C, Hp, Wp) by w (O, C, kh, kw) as (N, O, oh, ow).
-
-    Each run of taps is one GEMM of its stacked (taps*O, C) weight against
-    the flat input; each tap's product then adds into the flat (O, oh*Wp)
-    output shifted by the tap's offset. The last kw-1 columns of each output
-    row hold windows that wrap into the next row and are dropped.
-    """
-    N, C, Hp, Wp = x.shape
-    O, _, kh, kw = w.shape
-    xf = x.reshape(N, C, Hp * Wp)
-    span = (oh - 1) * Wp + ow  # flat extent of the kept windows
-    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * O, C)
-    acc = np.zeros((N, O, oh * Wp), dtype=np.result_type(x, w))
-    for t0, t1, offsets in _tap_groups(kh, kw, Wp, N * O * Hp * Wp):
-        prod = (taps[t0 * O:t1 * O] @ xf).reshape(N, t1 - t0, O, Hp * Wp)
-        for k, s in enumerate(offsets):
-            acc[:, :, :span] += prod[:, k, :, s:s + span]
-    return acc.reshape(N, O, oh, Wp)[..., :ow]
-
-
-def _kn2row_weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(O, C, kh, kw) weight gradient of :func:`_kn2row` for g (N, O, oh, ow).
-
-    The adjoint of the forward's order: g, widened to rows of length Wp with
-    zeros in the wrap columns, is copied to each tap's offset, and each run
-    of taps is one GEMM of the stacked copies against the flat input.
-    """
-    N, O, oh, ow = g.shape
-    C, Hp, Wp = x.shape[1:]
-    span = (oh - 1) * Wp + ow
-    gf = _widen(g, Wp)[..., :span]
-    xt = x.reshape(N, C, Hp * Wp).transpose(0, 2, 1)
-    dw = np.empty((kh * kw * O, C), dtype=np.result_type(g, x))
-    for t0, t1, offsets in _tap_groups(kh, kw, Wp, N * O * Hp * Wp):
-        shifted = np.zeros((N, t1 - t0, O, Hp * Wp), dtype=g.dtype)
-        for k, s in enumerate(offsets):
-            shifted[:, k, :, s:s + span] = gf
-        dw[t0 * O:t1 * O] = (shifted.reshape(N, -1, Hp * Wp) @ xt).sum(axis=0)
-    return dw.reshape(kh, kw, O, C).transpose(2, 3, 0, 1)
-
-
 def _check_conv(op: str, x: Tensor, weight: Tensor, stride: int, layout: str) -> None:
     """NCHW input, a 4-D weight in `layout` ("OIkk" or "IOkk"), stride >= 1."""
     if x.data.ndim != 4:
@@ -607,9 +554,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     # the weight gradient is taken when the weight required one at forward time
     grad_w = weight.requires_grad
-    kn2row = stride == 1 and O < I
-    out_data = (_kn2row(xp.data, weight.data, oh, ow) if kn2row else
-                _correlate(xp.data, weight.data.reshape(O, -1), kh, kw, stride, oh, ow))
+    flip = stride == 1 and O < I  # the transposed conv of the flipped kernel
+    if flip:
+        wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        full = _adjoint(xp.data, wf, 1, H + kh - 1, W + kw - 1)
+        out_data = full[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow]
+    else:
+        out_data = _correlate(xp.data, weight.data.reshape(O, -1), kh, kw, stride, oh, ow)
     out_data = _add_bias("conv2d", out_data, weight, bias)
     fold = xp._backward_fn if xp is not x else None  # the pad node's, or None
     del xp  # its data leaves with it; backward pads x again
@@ -617,8 +568,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(g):
         if grad_w:
             xpd = _pad(x.data, padding, pad_mode) if padding else x.data
-            _accum(weight, _kn2row_weight_grad(g, xpd, kh, kw) if kn2row else
-                   _weight_grad(g, xpd, kh, kw, stride, weight.shape))
+            if flip:  # conv_transpose2d's weight gradient, roles swapped
+                dwf = _weight_grad(xpd, _embed(g, kh - 1, kw - 1), kh, kw, 1, (I, O, kh, kw))
+                _accum(weight, dwf.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            else:
+                _accum(weight, _weight_grad(g, xpd, kh, kw, stride, weight.shape))
             del xpd  # before _adjoint allocates
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))

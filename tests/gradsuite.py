@@ -185,7 +185,8 @@ def case_conv2d_gather(rng):
 
 
 def case_conv2d_taps(rng):
-    # stride 1 and O < I: kn2row forward and weight gradient, even kernels too
+    # stride 1 and O < I: the forward scatters the flipped kernel and the
+    # weight gradient regathers the embedded g, even kernels too
     n = int(rng.integers(1, 3))
     ci = int(rng.integers(2, 5))
     co = int(rng.integers(1, ci))
@@ -296,7 +297,7 @@ OPS = {
 # run with one output row per band, forward and backward, so the weight
 # gradient sums over several bands, each regathered in backward; at stride 1
 # a one-row band's span is ow elements, with no wrap columns
-ONE_ROW_BANDS = {"conv2d_banded", "conv_transpose2d_banded"}
+ONE_ROW_BANDS = {"conv2d_banded", "conv2d_taps", "conv_transpose2d_banded"}
 
 
 @contextlib.contextmanager

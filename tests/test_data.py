@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from srdistill.config import format_config
 from srdistill.data import (
     PALETTE,
     CodecError,
@@ -264,6 +265,23 @@ def test_malformed_manifest_is_a_codec_error(tmp_path, loader, kind, fault):
     (tmp_path / "manifest.txt").write_bytes(text + fault + b"\n")
     with pytest.raises(CodecError, match="manifest"):
         loader(tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [("coverage_lo", "0.9"), ("stripe_period", "1")])
+def test_unpaired_manifest_the_spec_rejects_is_a_codec_error(tmp_path, key, value):
+    spec = UnpairedDatasetSpec(train_samples=1, test_samples=0)
+    save_unpaired(tmp_path, spec, gen_unpaired(spec))
+    (tmp_path / "manifest.txt").write_text(format_config({**spec.manifest(), key: value}))
+    with pytest.raises(CodecError, match="manifest"):
+        load_unpaired(tmp_path)
+
+
+def test_paired_manifest_the_spec_rejects_is_a_codec_error(tmp_path):
+    spec = PairedDatasetSpec(resolution=32, train_samples=1, test_samples=0)
+    save_paired(tmp_path, spec, *gen_paired(spec))
+    (tmp_path / "manifest.txt").write_text(format_config({**spec.manifest(), "noise": "-0.5"}))
+    with pytest.raises(CodecError, match="noise"):
+        load_paired(tmp_path)
 
 
 def test_unpaired_without_test_samples_round_trips(tmp_path):

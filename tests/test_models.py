@@ -176,6 +176,26 @@ def test_checkpoint_manifest_missing_or_bad_field_is_a_codec_error(
         load_model(path)
 
 
+@pytest.mark.parametrize("fault", ["kind", "ngf", "resolution", "missing", "shape"])
+def test_checkpoint_the_model_rejects_is_a_codec_error_naming_the_file(tmp_path, fault):
+    g = build_generator(GeneratorSpec("resnet", 4, 1, resolution=16), dtype=np.float32)
+    manifest, items = dict(g.manifest), [(n, t.data) for n, t in g.named_params()]
+    if fault == "kind":
+        manifest["kind"] = "vgg"
+    elif fault == "ngf":
+        manifest["ngf"] = "0"
+    elif fault == "resolution":
+        manifest["resolution"] = "6"
+    elif fault == "missing":
+        items = items[:-1]
+    else:
+        items[0] = (items[0][0], items[0][1][:1])
+    path = tmp_path / "bad.ckpt"
+    write_checkpoint(path, manifest, items)
+    with pytest.raises(CodecError, match="bad.ckpt"):
+        load_model(path)
+
+
 def test_discriminator_round_trip(tmp_path):
     d = build_discriminator(DiscriminatorSpec(ndf=8, in_channels=6),
                             np.random.default_rng(9), dtype=np.float32)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srdistill.config import ConfigError, parse_config_text
+from srdistill import data as D
+from srdistill.config import ConfigError, format_config, parse_config_text
+from srdistill.models import GeneratorSpec, build_generator, load_model
 from srdistill.serialize import (
     MAGIC,
     CodecError,
@@ -203,3 +205,38 @@ def test_failed_write_removes_its_temp_file(tmp_path):
     with pytest.raises(OSError):
         write_tensor(target, np.ones(2, dtype=np.float32))
     assert list(tmp_path.iterdir()) == [target]
+
+
+def _save_with(root, target, key, value):
+    """Save a valid dataset or checkpoint of `target` at `root` with
+    ``manifest[key] = value``; returns its loader."""
+    if target == "checkpoint":
+        g = build_generator(GeneratorSpec("resnet", 4, 1, resolution=32), dtype=np.float32)
+        path = root / "g.ckpt"
+        write_checkpoint(path, {**g.manifest, key: value},
+                         [(n, t.data) for n, t in g.named_params()])
+        return lambda: load_model(path)
+    if target == "unpaired":
+        spec = D.UnpairedDatasetSpec(resolution=32, train_samples=1, test_samples=0)
+        D.save_unpaired(root, spec, D.gen_unpaired(spec))
+        loader = D.load_unpaired
+    else:
+        spec = D.PairedDatasetSpec(resolution=32, train_samples=1, test_samples=0)
+        D.save_paired(root, spec, *D.gen_paired(spec))
+        loader = D.load_paired
+    (root / "manifest.txt").write_text(format_config({**spec.manifest(), key: value}))
+    return lambda: loader(root)
+
+
+# int() reads each of these as 32 and float() the underscored one as 0.03
+@pytest.mark.parametrize("target, key, value", [
+    *((t, "resolution", v) for t in ("unpaired", "paired", "checkpoint")
+      for v in ("3_2", "+32", "\u0663\u0662")),
+    *((t, "noise", v) for t in ("unpaired", "paired")
+      for v in ("nan", "inf", "-inf", "0.0_3")),
+])
+def test_manifest_number_int_or_float_would_take_loosely_is_a_codec_error(
+        tmp_path, target, key, value):
+    load = _save_with(tmp_path, target, key, value)
+    with pytest.raises(CodecError, match=key):
+        load()

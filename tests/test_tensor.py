@@ -172,26 +172,29 @@ def conv2d_grads_loops(xp, w, g, stride):
 
 @st.composite
 def _conv_geometry(draw):
-    k = draw(st.integers(1, 7))
+    # kh and kw drawn apart: a flip or crop that swaps the two axes fails
+    kh, kw = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     s = draw(st.integers(1, 3))
     mode = draw(st.sampled_from(["zero", "reflect"]))
     p = draw(st.integers(0, 3))
-    # reflect needs p < size; the padded image must hold one kernel
-    lo = max(k - 2 * p, p + 1 if mode == "reflect" else 1, 1)
-    h, wd = draw(st.integers(lo, lo + 4)), draw(st.integers(lo, lo + 4))
+    # reflect needs p < size; the padded image must hold one kernel per axis
+    floor = p + 1 if mode == "reflect" else 1
+    lo_h, lo_w = max(kh - 2 * p, floor), max(kw - 2 * p, floor)
+    h, wd = draw(st.integers(lo_h, lo_h + 4)), draw(st.integers(lo_w, lo_w + 4))
     n = draw(st.integers(1, 2))
     ci, co = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return n, ci, co, h, wd, k, s, p, mode
+    return n, ci, co, h, wd, kh, kw, s, p, mode
 
 
 @given(_conv_geometry(), st.booleans(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_conv2d_and_its_gradients_match_loops(geometry, one_row_bands, seed):
-    # O < I at stride 1 takes the gather input gradient, the rest the scatter
-    n, ci, co, h, wd, k, s, p, mode = geometry
+    # O < I at stride 1 takes the flipped kernel's scatter forward and the
+    # gather input gradient, the rest the gather forward and the scatter
+    n, ci, co, h, wd, kh, kw, s, p, mode = geometry
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, ci, h, wd))
-    w = rng.normal(size=(co, ci, k, k))
+    w = rng.normal(size=(co, ci, kh, kw))
     b = rng.normal(size=co)
     xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
     with pytest.MonkeyPatch.context() as mp:
@@ -413,12 +416,16 @@ def test_conv_bias_lands_in_a_fresh_output(op, w_shape, co):
 
 @pytest.mark.parametrize("run", [1, 3, 16])
 def test_kn2row_tap_runs_match_loops(run, monkeypatch):
-    # stride 1 and O < I: runs of 1, 3 (not dividing 16 taps) and all taps
+    # stride 1 and O < I: bands of `run` rows in all three products. Each
+    # shifts the 2 output channels over 16 taps at pitch Wp + kw - 1 = 12
+    # (the forward's scatter onto the 11x12 plane, the gather of the
+    # embedded g, the weight gradient's regather of it), 768 elements a row
+    # over 8 rows: one-row bands, a short last band, and one band
     rng = np.random.default_rng(run)
     x = rng.normal(size=(2, 5, 6, 7))
     w = rng.normal(size=(2, 5, 4, 4))
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    monkeypatch.setattr(T, "BLOCK_ELEMS", run * 2 * 2 * 8 * 9)
+    monkeypatch.setattr(T, "BLOCK_ELEMS", run * 2 * 2 * 16 * 12)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     out = T.conv2d(xt, wt, None, stride=1, padding=1)
     g = rng.normal(size=out.shape)

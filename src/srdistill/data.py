@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import format_config
-from .serialize import CodecError, manifest_from_bytes, manifest_value
+from .serialize import CodecError, decode_spec, encode_spec, manifest_from_bytes
 
 # paired-task palette: class id -> RGB
 PALETTE = np.array([
@@ -58,20 +58,11 @@ class UnpairedDatasetSpec:
             raise ValueError("stripe_contrast must be in [0, 1]")
         if self.noise < 0.0:
             raise ValueError("noise must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def manifest(self) -> dict[str, str]:
-        return {
-            "kind": "unpaired",
-            "resolution": str(self.resolution),
-            "train_samples": str(self.train_samples),
-            "test_samples": str(self.test_samples),
-            "coverage_lo": repr(self.coverage[0]),
-            "coverage_hi": repr(self.coverage[1]),
-            "stripe_period": str(self.stripe_period),
-            "stripe_contrast": repr(self.stripe_contrast),
-            "noise": repr(self.noise),
-            "seed": str(self.seed),
-        }
+        return encode_spec(self, "unpaired")
 
 
 @dataclass(frozen=True)
@@ -89,16 +80,11 @@ class PairedDatasetSpec:
             raise ValueError("need at least one training sample")
         if self.noise < 0.0:
             raise ValueError("noise must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def manifest(self) -> dict[str, str]:
-        return {
-            "kind": "paired",
-            "resolution": str(self.resolution),
-            "train_samples": str(self.train_samples),
-            "test_samples": str(self.test_samples),
-            "noise": repr(self.noise),
-            "seed": str(self.seed),
-        }
+        return encode_spec(self, "paired")
 
 
 @dataclass
@@ -257,9 +243,11 @@ def gen_paired(spec: PairedDatasetSpec) -> tuple[list[PairedSample], list[Paired
 
 
 def _write_netpbm(path, magic: bytes, arr: np.ndarray) -> None:
+    if arr.dtype != np.uint8:  # a cast would wrap values outside 0..255
+        raise CodecError(f"netpbm wants uint8 values, got {arr.dtype}")
     h, w = arr.shape[:2]
     header = magic + b"\n%d %d\n255\n" % (w, h)
-    Path(path).write_bytes(header + arr.astype(np.uint8).tobytes())
+    Path(path).write_bytes(header + arr.tobytes())
 
 
 def write_ppm(path, img: np.ndarray) -> None:
@@ -377,32 +365,28 @@ def _read_domain(root: Path, name: str, count: int, res: int):
     paths = sorted(d.glob("*.ppm"))
     if len(paths) != count:
         raise CodecError(f"{d}: {len(paths)} images, the manifest says {count}")
-    imgs = np.empty((count, res, res, 3), dtype=np.uint8)
-    masks = np.empty((count, res, res), dtype=np.uint8)
-    for i, p in enumerate(paths):
-        for path, read, dst in ((p, read_ppm, imgs),
-                                (p.with_name(p.stem + "_mask.pgm"), read_pgm, masks)):
+    # each image is checked before the stack is allocated, so a huge
+    # manifest resolution is a CodecError, not a MemoryError
+    imgs, masks = [], []
+    for p in paths:
+        for path, read, out, shape in (
+                (p, read_ppm, imgs, (res, res, 3)),
+                (p.with_name(p.stem + "_mask.pgm"), read_pgm, masks, (res, res))):
             arr = read(path)
-            if arr.shape != dst.shape[1:]:
-                raise CodecError(f"{path}: shape {arr.shape}, expected {dst.shape[1:]}")
-            dst[i] = arr
-    return imgs, masks
+            if arr.shape != shape:
+                raise CodecError(f"{path}: shape {arr.shape}, expected {shape}")
+            out.append(arr)
+    return (np.array(imgs, dtype=np.uint8).reshape(count, res, res, 3),
+            np.array(masks, dtype=np.uint8).reshape(count, res, res))
 
 
-def _read_manifest(root: Path, kind: str) -> dict[str, str]:
-    """The manifest of the dataset at `root`, which must be of `kind`."""
-    m = manifest_from_bytes((root / "manifest.txt").read_bytes(), f"{root} manifest")
-    if m.get("kind") != kind:
-        raise CodecError(f"{root}: manifest kind {m.get('kind')!r}, expected {kind!r}")
-    return m
-
-
-def _spec(root: Path, cls, **fields):
-    """``cls(**fields)``; a value the spec rejects is a CodecError."""
+def _read_spec(root: Path, kinds: dict[str, type]):
+    """The spec in the manifest of the dataset at `root`; a CodecError names `root`."""
     try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise CodecError(f"{root} manifest: {exc}") from None
+        raw = (root / "manifest.txt").read_bytes()
+        return decode_spec(manifest_from_bytes(raw, "manifest"), kinds)
+    except CodecError as exc:
+        raise CodecError(f"{root}: {exc}") from None
 
 
 def save_unpaired(root, spec: UnpairedDatasetSpec, ds: UnpairedDataset) -> None:
@@ -417,19 +401,7 @@ def save_unpaired(root, spec: UnpairedDatasetSpec, ds: UnpairedDataset) -> None:
 
 def load_unpaired(root) -> tuple[UnpairedDatasetSpec, UnpairedDataset]:
     root = Path(root)
-    m = _read_manifest(root, "unpaired")
-    spec = _spec(
-        root, UnpairedDatasetSpec,
-        resolution=manifest_value(m, "resolution", int),
-        train_samples=manifest_value(m, "train_samples", int),
-        test_samples=manifest_value(m, "test_samples", int),
-        coverage=(manifest_value(m, "coverage_lo", float),
-                  manifest_value(m, "coverage_hi", float)),
-        stripe_period=manifest_value(m, "stripe_period", int),
-        stripe_contrast=manifest_value(m, "stripe_contrast", float),
-        noise=manifest_value(m, "noise", float),
-        seed=manifest_value(m, "seed", int),
-    )
+    spec = _read_spec(root, {"unpaired": UnpairedDatasetSpec})
     res, n_train, n_test = spec.resolution, spec.train_samples, spec.test_samples
     train_a, mask_train_a = _read_domain(root, "trainA", n_train, res)
     train_b, mask_train_b = _read_domain(root, "trainB", n_train, res)
@@ -453,15 +425,7 @@ def save_paired(root, spec: PairedDatasetSpec, train, test) -> None:
 
 def load_paired(root) -> tuple[PairedDatasetSpec, list[PairedSample], list[PairedSample]]:
     root = Path(root)
-    m = _read_manifest(root, "paired")
-    spec = _spec(
-        root, PairedDatasetSpec,
-        resolution=manifest_value(m, "resolution", int),
-        train_samples=manifest_value(m, "train_samples", int),
-        test_samples=manifest_value(m, "test_samples", int),
-        noise=manifest_value(m, "noise", float),
-        seed=manifest_value(m, "seed", int),
-    )
+    spec = _read_spec(root, {"paired": PairedDatasetSpec})
     splits = []
     for name, count in (("train", spec.train_samples), ("test", spec.test_samples)):
         labels = sorted((root / name).glob("*_label.pgm"))

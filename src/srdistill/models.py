@@ -29,13 +29,14 @@ activations are ignored, so only ratios between models are meaningful.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import tensor as T
-from .serialize import CodecError, manifest_value, read_checkpoint, write_checkpoint
+from .serialize import CodecError, decode_spec, encode_spec, read_checkpoint, write_checkpoint
 from .tensor import Tensor
 
 WEIGHT_STD = 0.02
@@ -57,29 +58,22 @@ class GeneratorSpec:
             raise ValueError(f"ngf must be >= 1, got {self.ngf}")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be >= 1")
+        if self.n_blocks < 1:  # even for unet, so the manifest reads back
+            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if self.kind == "resnet":
-            if self.n_blocks < 1:
-                raise ValueError(f"resnet needs n_blocks >= 1, got {self.n_blocks}")
             if self.resolution % 4 != 0 or self.resolution < 8:
                 raise ValueError(
                     f"resnet resolution must be a multiple of 4 and >= 8, got {self.resolution}"
                 )
         else:
-            if self.resolution % 256 != 0:
+            if self.resolution % 256 != 0 or self.resolution < 256:
                 raise ValueError(
                     f"unet has a fixed 8-level topology; resolution must be a "
-                    f"multiple of 256, got {self.resolution}"
+                    f"positive multiple of 256, got {self.resolution}"
                 )
 
     def manifest(self) -> dict[str, str]:
-        return {
-            "kind": self.kind,
-            "ngf": str(self.ngf),
-            "n_blocks": str(self.n_blocks),
-            "in_channels": str(self.in_channels),
-            "out_channels": str(self.out_channels),
-            "resolution": str(self.resolution),
-        }
+        return encode_spec(self, self.kind)
 
 
 @dataclass(frozen=True)
@@ -93,14 +87,15 @@ class DiscriminatorSpec:
             raise ValueError(f"ndf must be >= 1, got {self.ndf}")
         if self.n_layers < 1:
             raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        if self.in_channels < 1:
+            raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
 
     def manifest(self) -> dict[str, str]:
-        return {
-            "kind": "patchgan",
-            "ndf": str(self.ndf),
-            "n_layers": str(self.n_layers),
-            "in_channels": str(self.in_channels),
-        }
+        return encode_spec(self, "patchgan")
+
+
+MODEL_KINDS = {"resnet": GeneratorSpec, "unet": GeneratorSpec,
+               "patchgan": DiscriminatorSpec}
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +398,6 @@ def build_discriminator(spec: DiscriminatorSpec, rng: np.random.Generator | None
     return Model(stages, default_tap=None, manifest=spec.manifest())
 
 
-def spec_from_manifest(manifest: dict[str, str]) -> GeneratorSpec | DiscriminatorSpec:
-    """Spec of a checkpoint manifest; a missing or rejected field is a CodecError."""
-    kind = manifest.get("kind")
-    if kind in ("resnet", "unet"):
-        cls, fields = GeneratorSpec, {"kind": kind}
-        keys = ("ngf", "n_blocks", "in_channels", "out_channels", "resolution")
-    elif kind == "patchgan":
-        cls, fields = DiscriminatorSpec, {}
-        keys = ("ndf", "n_layers", "in_channels")
-    else:
-        raise CodecError(f"unknown model kind in manifest: {kind!r}")
-    fields.update((key, manifest_value(manifest, key, int)) for key in keys)
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise CodecError(f"checkpoint manifest: {exc}") from None
-
-
 def build_model(spec: GeneratorSpec | DiscriminatorSpec,
                 rng: np.random.Generator | None = None, dtype=np.float64) -> Model:
     if isinstance(spec, GeneratorSpec):
@@ -441,7 +418,7 @@ def count_params(model: Model) -> int:
 
 def count_flops(model: Model, resolution: int) -> int:
     """2*MACs over convolutions/matmuls at the given input resolution."""
-    in_ch = int(model.manifest["in_channels"])
+    in_ch = decode_spec(model.manifest, MODEL_KINDS).in_channels
     return 2 * model.count_macs((1, in_ch, resolution, resolution))
 
 
@@ -454,13 +431,21 @@ class _NoDraws:
     """Stands in for the RNG of a skeleton whose weights are all replaced.
 
     Its ``normal`` draws nothing: it returns an uninitialised array of the
-    skeleton's dtype, which the layers keep without a copy.
+    skeleton's dtype, which the layers keep without a copy. It hands out at
+    most the `budget` values the checkpoint stores, so a manifest naming a
+    model larger than its checkpoint is a CodecError before the skeleton
+    allocates more than that.
     """
 
-    def __init__(self, dtype):
+    def __init__(self, dtype, budget: int):
         self.dtype = dtype
+        self.budget = budget
 
     def normal(self, loc, scale, size):
+        self.budget -= math.prod(size)
+        if self.budget < 0:
+            raise CodecError("the manifest's model has more weights than "
+                             "the checkpoint stores")
         return np.empty(size, dtype=self.dtype)
 
 
@@ -468,10 +453,11 @@ def load_model(path, dtype=np.float32) -> Model:
     """Rebuild a model from a checkpoint; parameters load as float32 values."""
     try:
         manifest, params = read_checkpoint(path)
-        spec = spec_from_manifest(manifest)
+        spec = decode_spec(manifest, MODEL_KINDS)
+        model = build_model(spec, _NoDraws(dtype, sum(a.size for _, a in params)),
+                            dtype=dtype)
     except CodecError as exc:
         raise CodecError(f"{path}: {exc}") from None
-    model = build_model(spec, _NoDraws(dtype), dtype=dtype)
     stored = dict(params)
     expected = [n for n, _ in model.named_params()]
     missing = [n for n in expected if n not in stored]

@@ -9,14 +9,25 @@ A checkpoint is one length-prefixed UTF-8 manifest (key=value lines
 describing the architecture spec, in the ``config`` format) followed by a
 sequence of (u32 name length, name bytes, SRDT tensor payload) records
 with distinct names.
+
+Specs (model architectures, datasets) travel as key=value manifests made
+by one codec, ``encode_spec``/``decode_spec``. The first key is ``kind``;
+then each dataclass field, in declaration order, is one key holding
+``str(value)``, except that a 2-tuple field ``f`` is two keys, ``f_lo`` and
+``f_hi``. A field named ``kind`` is the kind itself. On decode a ``str``
+field takes the manifest's text, and an ``int`` or ``float`` field is
+parsed strictly by ``manifest_value``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import os
 import secrets
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +156,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[tuple[str, n
 
 
 def manifest_value(manifest: dict[str, str], key: str, conv):
-    """``conv(manifest[key])`` for conv ``int`` or ``float``, parsed strictly.
+    """``conv(manifest[key])`` for conv ``str``, ``int`` or ``float``, parsed strictly.
 
     An int is ASCII decimal digits only, a float finite and ASCII without
     underscores; a missing key or any other value is a CodecError.
@@ -153,6 +164,8 @@ def manifest_value(manifest: dict[str, str], key: str, conv):
     if key not in manifest:
         raise CodecError(f"manifest has no {key!r}")
     text = manifest[key]
+    if conv is str:
+        return text
     try:
         # int() would also take a sign, underscores and non-ASCII digits;
         # float() underscores, non-ASCII digits, nan and inf
@@ -164,6 +177,42 @@ def manifest_value(manifest: dict[str, str], key: str, conv):
         return value
     except ValueError:
         raise CodecError(f"manifest {key!r}: {text!r} is not {conv.__name__}") from None
+
+
+def encode_spec(spec, kind: str) -> dict[str, str]:
+    """The manifest of dataclass `spec`, of `kind` (the key rule is above)."""
+    out = {"kind": kind}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, tuple):
+            out[f"{f.name}_lo"], out[f"{f.name}_hi"] = map(str, value)
+        else:
+            out[f.name] = str(value)
+    return out
+
+
+def decode_spec(manifest: dict[str, str], kinds: dict[str, type]):
+    """The spec, of class ``kinds[manifest["kind"]]``; any fault is a CodecError."""
+    kind = manifest.get("kind")
+    if kind not in kinds:
+        raise CodecError(f"manifest kind {kind!r}, expected one of {sorted(kinds)}")
+    fields = {}
+    for name, hint in _field_types(kinds[kind]):
+        if typing.get_origin(hint) is tuple:
+            fields[name] = tuple(manifest_value(manifest, f"{name}_{end}", t)
+                                 for end, t in zip(("lo", "hi"), typing.get_args(hint)))
+        else:
+            fields[name] = manifest_value(manifest, name, hint)
+    try:
+        return kinds[kind](**fields)
+    except ValueError as exc:
+        raise CodecError(f"manifest: {exc}") from None
+
+
+@functools.cache
+def _field_types(cls) -> tuple[tuple[str, type], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def _atomic_write(path: str | Path, data: bytes) -> None:

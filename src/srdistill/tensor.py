@@ -57,9 +57,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar on all requires-grad leaf ancestors."""
         if self.data.size != 1:

@@ -339,3 +339,32 @@ def test_paired_label_and_photo_of_another_size_is_a_codec_error(tmp_path):
     write_ppm(tmp_path / "train" / "0000_photo.ppm", np.zeros((40, 40, 3), np.uint8))
     with pytest.raises(CodecError, match="0000_label.pgm"):
         load_paired(tmp_path)
+
+
+def test_unpaired_manifest_of_a_huge_resolution_is_a_codec_error(tmp_path):
+    # the images are checked before a stack of the manifest's size is allocated
+    spec = UnpairedDatasetSpec(train_samples=1, test_samples=0)
+    save_unpaired(tmp_path, spec, gen_unpaired(spec))
+    (tmp_path / "manifest.txt").write_text(
+        format_config({**spec.manifest(), "resolution": "1000000"}))
+    with pytest.raises(CodecError, match="0000.ppm"):
+        load_unpaired(tmp_path)
+
+
+@pytest.mark.parametrize("cls", [UnpairedDatasetSpec, PairedDatasetSpec])
+def test_dataset_spec_rejects_a_negative_seed(cls):
+    with pytest.raises(ValueError, match="seed"):
+        cls(seed=-1)
+
+
+@pytest.mark.parametrize("write, img", [
+    (write_pgm, np.array([[300, -1], [2.7, 255]])),
+    (write_pgm, np.array([[1, 2]], dtype=np.int64)),
+    (write_ppm, np.zeros((2, 2, 3), dtype=np.float32)),
+    (write_ppm, np.zeros((2, 2, 3), dtype=np.uint16)),
+], ids=["pgm_float", "pgm_int64", "ppm_float32", "ppm_uint16"])
+def test_netpbm_writers_reject_values_that_are_not_uint8(tmp_path, write, img):
+    p = tmp_path / "x.pnm"
+    with pytest.raises(CodecError, match="uint8"):
+        write(p, img)
+    assert not p.exists()

@@ -323,3 +323,24 @@ def test_load_model_draws_no_random_init(tmp_path, monkeypatch):
                                           strict=True):
             assert name == name2 and t2.data.dtype == np.float32
             assert t2.data.tobytes() == t.data.tobytes()
+
+
+def test_checkpoint_manifest_of_a_huge_model_is_a_codec_error(tmp_path):
+    # the skeleton may not ask for more weights than the checkpoint stores
+    g = build_generator(GeneratorSpec("resnet", 4, 1, resolution=16), dtype=np.float32)
+    path = tmp_path / "huge.ckpt"
+    write_checkpoint(path, {**g.manifest, "ngf": str(10**12)},
+                     [(n, t.data) for n, t in g.named_params()])
+    with pytest.raises(CodecError, match="huge.ckpt"):
+        load_model(path)
+
+
+def test_spec_rejects_fields_its_manifest_could_not_read_back():
+    # each of these once built, and wrote a manifest that fails to load
+    with pytest.raises(ValueError, match="n_blocks"):
+        GeneratorSpec("unet", 64, n_blocks=0)
+    for resolution in (0, -256):
+        with pytest.raises(ValueError, match="resolution"):
+            GeneratorSpec("unet", 64, resolution=resolution)
+    with pytest.raises(ValueError, match="in_channels"):
+        DiscriminatorSpec(in_channels=0)

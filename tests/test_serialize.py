@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from srdistill import data as D
 from srdistill.config import ConfigError, format_config, parse_config_text
-from srdistill.models import GeneratorSpec, build_generator, load_model
+from srdistill.models import DiscriminatorSpec, GeneratorSpec, build_generator, load_model
 from srdistill.serialize import (
     MAGIC,
     CodecError,
@@ -240,3 +240,26 @@ def test_manifest_number_int_or_float_would_take_loosely_is_a_codec_error(
     load = _save_with(tmp_path, target, key, value)
     with pytest.raises(CodecError, match=key):
         load()
+
+
+# The exact manifest of each spec kind: keys, order and text. Every checkpoint
+# and dataset already written carries one of these, so they must not change.
+@pytest.mark.parametrize("spec, text", [
+    (GeneratorSpec("resnet", 16, 6, resolution=64),
+     "kind=resnet\nngf=16\nn_blocks=6\nin_channels=3\nout_channels=3\nresolution=64\n"),
+    (GeneratorSpec("unet", 64, in_channels=1, out_channels=2, resolution=512),
+     "kind=unet\nngf=64\nn_blocks=9\nin_channels=1\nout_channels=2\nresolution=512\n"),
+    (DiscriminatorSpec(),
+     "kind=patchgan\nndf=64\nn_layers=3\nin_channels=3\n"),
+    (DiscriminatorSpec(ndf=8, n_layers=2, in_channels=6),
+     "kind=patchgan\nndf=8\nn_layers=2\nin_channels=6\n"),
+    (D.UnpairedDatasetSpec(resolution=64, coverage=(0.1, 0.55), noise=0.0, seed=7),
+     "kind=unpaired\nresolution=64\ntrain_samples=100\ntest_samples=10\n"
+     "coverage_lo=0.1\ncoverage_hi=0.55\nstripe_period=4\nstripe_contrast=0.9\n"
+     "noise=0.0\nseed=7\n"),
+    (D.PairedDatasetSpec(resolution=48, train_samples=3, noise=1e-05, seed=12),
+     "kind=paired\nresolution=48\ntrain_samples=3\ntest_samples=5\n"
+     "noise=1e-05\nseed=12\n"),
+], ids=["resnet", "unet", "patchgan", "patchgan_paired", "unpaired", "paired"])
+def test_manifest_of_each_spec_kind_is_pinned(spec, text):
+    assert format_config(spec.manifest()) == text

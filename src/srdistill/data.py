@@ -291,7 +291,10 @@ def _read_netpbm(path) -> tuple[bytes, np.ndarray]:
     for name, t in zip(("width", "height", "maxval"), tokens):
         if not t.isdigit():  # bytes: ASCII 0-9 only
             raise CodecError(f"{path}: header {name} {t!r} is not a decimal number")
-    w, h, maxval = (int(t) for t in tokens)
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise CodecError(f"{path}: header number has too many digits") from None
     if maxval != 255:
         raise CodecError(f"{path}: only maxval 255 supported, got {maxval}")
 
@@ -351,33 +354,45 @@ def tensor_to_image(t: np.ndarray) -> np.ndarray:
 # dataset directories
 
 
-def _write_domain(root: Path, name: str, imgs, masks) -> None:
-    d = root / name
+# Part `suffix` of sample i of a split is the file f"{i:04d}{suffix}" in the
+# split's directory, an (H, W, 3) image if `suffix` ends in ".ppm", else (H, W).
+_UNPAIRED_PARTS = (".ppm", "_mask.pgm")
+_PAIRED_PARTS = ("_label.pgm", "_photo.ppm")
+_UNPAIRED_SPLITS = {"trainA": "train_a", "trainB": "train_b",
+                    "testA": "test_a", "testB": "test_b"}
+
+
+def _write_split(d: Path, suffixes, parts) -> None:
+    """Writes `parts[k][i]` as part `suffixes[k]` of sample i to directory `d`."""
     d.mkdir(parents=True, exist_ok=True)
-    for i in range(len(imgs)):
-        write_ppm(d / f"{i:04d}.ppm", imgs[i])
-        write_pgm(d / f"{i:04d}_mask.pgm", masks[i])
+    for i, sample in enumerate(zip(*parts, strict=True)):
+        for suffix, arr in zip(suffixes, sample):
+            (write_ppm if suffix.endswith(".ppm") else write_pgm)(d / f"{i:04d}{suffix}", arr)
 
 
-def _read_domain(root: Path, name: str, count: int, res: int):
-    """The `count` images and masks of one domain, each res x res."""
-    d = root / name
-    paths = sorted(d.glob("*.ppm"))
-    if len(paths) != count:
-        raise CodecError(f"{d}: {len(paths)} images, the manifest says {count}")
-    # each image is checked before the stack is allocated, so a huge
+def _read_split(d: Path, suffixes, count: int, res: int):
+    """The first part's files in `d` in name order, one per sample, and each
+    part's (count, res, res[, 3]) stack; a CodecError names the sample."""
+    firsts = sorted(d.glob(f"*{suffixes[0]}"))
+    if len(firsts) != count:
+        raise CodecError(f"{d}: {len(firsts)} *{suffixes[0]} files, the manifest says {count}")
+    shapes = [(res, res, 3) if s.endswith(".ppm") else (res, res) for s in suffixes]
+    # every file is checked before a stack is allocated, so a huge
     # manifest resolution is a CodecError, not a MemoryError
-    imgs, masks = [], []
-    for p in paths:
-        for path, read, out, shape in (
-                (p, read_ppm, imgs, (res, res, 3)),
-                (p.with_name(p.stem + "_mask.pgm"), read_pgm, masks, (res, res))):
-            arr = read(path)
+    parts = [[] for _ in suffixes]
+    for first in firsts:
+        stem = first.name[:-len(suffixes[0])]
+        for suffix, shape, out in zip(suffixes, shapes, parts):
+            path = first.with_name(stem + suffix)
+            try:
+                arr = read_image(path)
+            except (FileNotFoundError, IsADirectoryError) as exc:
+                raise CodecError(f"{first}: {path}: {exc.strerror}") from None
             if arr.shape != shape:
-                raise CodecError(f"{path}: shape {arr.shape}, expected {shape}")
+                raise CodecError(f"{first}: {path}: shape {arr.shape}, expected {shape}")
             out.append(arr)
-    return (np.array(imgs, dtype=np.uint8).reshape(count, res, res, 3),
-            np.array(masks, dtype=np.uint8).reshape(count, res, res))
+    return firsts, [np.array(out, dtype=np.uint8).reshape(count, *shape)
+                    for out, shape in zip(parts, shapes)]
 
 
 def _read_spec(root: Path, kinds: dict[str, type]):
@@ -391,57 +406,42 @@ def _read_spec(root: Path, kinds: dict[str, type]):
 
 def save_unpaired(root, spec: UnpairedDatasetSpec, ds: UnpairedDataset) -> None:
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    _write_domain(root, "trainA", ds.train_a, ds.mask_train_a)
-    _write_domain(root, "trainB", ds.train_b, ds.mask_train_b)
-    _write_domain(root, "testA", ds.test_a, ds.mask_test_a)
-    _write_domain(root, "testB", ds.test_b, ds.mask_test_b)
+    for name, field in _UNPAIRED_SPLITS.items():
+        _write_split(root / name, _UNPAIRED_PARTS,
+                     (getattr(ds, field), getattr(ds, "mask_" + field)))
     (root / "manifest.txt").write_text(format_config(spec.manifest()))
 
 
 def load_unpaired(root) -> tuple[UnpairedDatasetSpec, UnpairedDataset]:
     root = Path(root)
     spec = _read_spec(root, {"unpaired": UnpairedDatasetSpec})
-    res, n_train, n_test = spec.resolution, spec.train_samples, spec.test_samples
-    train_a, mask_train_a = _read_domain(root, "trainA", n_train, res)
-    train_b, mask_train_b = _read_domain(root, "trainB", n_train, res)
-    test_a, mask_test_a = _read_domain(root, "testA", n_test, res)
-    test_b, mask_test_b = _read_domain(root, "testB", n_test, res)
-    return spec, UnpairedDataset(train_a, train_b, test_a, test_b,
-                                 mask_train_a, mask_train_b,
-                                 mask_test_a, mask_test_b)
+    fields = {}
+    for name, field in _UNPAIRED_SPLITS.items():
+        count = spec.train_samples if name.startswith("train") else spec.test_samples
+        _, (fields[field], fields["mask_" + field]) = _read_split(
+            root / name, _UNPAIRED_PARTS, count, spec.resolution)
+    return spec, UnpairedDataset(**fields)
 
 
 def save_paired(root, spec: PairedDatasetSpec, train, test) -> None:
     root = Path(root)
     for name, samples in (("train", train), ("test", test)):
-        d = root / name
-        d.mkdir(parents=True, exist_ok=True)
-        for i, s in enumerate(samples):
-            write_pgm(d / f"{i:04d}_label.pgm", s.label)
-            write_ppm(d / f"{i:04d}_photo.ppm", s.photo)
+        _write_split(root / name, _PAIRED_PARTS,
+                     ([s.label for s in samples], [s.photo for s in samples]))
     (root / "manifest.txt").write_text(format_config(spec.manifest()))
 
 
 def load_paired(root) -> tuple[PairedDatasetSpec, list[PairedSample], list[PairedSample]]:
     root = Path(root)
     spec = _read_spec(root, {"paired": PairedDatasetSpec})
-    splits = []
+    res, splits = spec.resolution, []
     for name, count in (("train", spec.train_samples), ("test", spec.test_samples)):
-        labels = sorted((root / name).glob("*_label.pgm"))
-        if len(labels) != count:
-            raise CodecError(f"{root / name}: {len(labels)} labels, the manifest says {count}")
+        firsts, (labels, photos) = _read_split(root / name, _PAIRED_PARTS, count, res)
         samples = []
-        for lp in labels:
-            label = read_pgm(lp)
-            photo = read_ppm(lp.with_name(lp.name.replace("_label.pgm",
-                                                          "_photo.ppm")))
-            if label.shape != (spec.resolution,) * 2:
-                raise CodecError(f"{lp}: shape {label.shape}, the manifest says "
-                                 f"{spec.resolution}x{spec.resolution}")
+        for first, label, photo in zip(firsts, labels, photos):
             try:
                 samples.append(PairedSample(label, photo, label.copy()))
             except ValueError as e:
-                raise CodecError(f"{lp}: {e}") from None
+                raise CodecError(f"{first}: {e}") from None
         splits.append(samples)
     return spec, splits[0], splits[1]

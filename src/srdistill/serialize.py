@@ -16,7 +16,7 @@ then each dataclass field, in declaration order, is one key holding
 ``str(value)``, except that a 2-tuple field ``f`` is two keys, ``f_lo`` and
 ``f_hi``. A field named ``kind`` is the kind itself. On decode a ``str``
 field takes the manifest's text, and an ``int`` or ``float`` field is
-parsed strictly by ``manifest_value``.
+parsed strictly by ``manifest_value``; a key that no field reads is an error.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     nbytes = 4 * math.prod(dims)  # Python ints: no wrap-around on huge dims
     _need(buf, offset, nbytes, "tensor payload")
     arr = np.frombuffer(buf, dtype="<f4", count=nbytes // 4, offset=offset)
-    return arr.reshape(dims).copy(), offset + nbytes
+    try:  # numpy rejects over 64 dims, and nonzero dims too big together, even at size 0
+        return arr.reshape(dims).copy(), offset + nbytes
+    except ValueError as exc:
+        raise CodecError(f"rank-{rank} tensor: {exc}") from None
 
 
 def _need(buf: bytes, offset: int, nbytes: int, what: str) -> None:
@@ -204,9 +207,13 @@ def decode_spec(manifest: dict[str, str], kinds: dict[str, type]):
         else:
             fields[name] = manifest_value(manifest, name, hint)
     try:
-        return kinds[kind](**fields)
+        spec = kinds[kind](**fields)
     except ValueError as exc:
         raise CodecError(f"manifest: {exc}") from None
+    # a key no field reads may belong to a newer spec: reading it as this one is wrong
+    if unread := sorted(manifest.keys() - encode_spec(spec, kind).keys()):
+        raise CodecError(f"manifest keys {unread} are not fields of a {kind!r} spec")
+    return spec
 
 
 @functools.cache

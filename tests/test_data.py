@@ -177,6 +177,13 @@ def test_header_fields_are_plain_decimal_digits(tmp_path, magic, fields, nbytes,
         read_image(p)
 
 
+def test_header_number_too_long_for_int_is_a_codec_error(tmp_path):
+    p = tmp_path / "long.pgm"
+    p.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n" + bytes(4))
+    with pytest.raises(CodecError, match="digits"):
+        read_image(p)
+
+
 def test_wrong_format_for_reader(tmp_path):
     p = tmp_path / "m.pgm"
     write_pgm(p, np.zeros((2, 2), dtype=np.uint8))
@@ -328,6 +335,28 @@ def test_malformed_paired_sample_is_a_codec_error(tmp_path, image, culprit):
         write_pgm(tmp_path / "train" / "0000_label.pgm", image)
     with pytest.raises(CodecError, match=culprit):
         load_paired(tmp_path)
+
+
+@pytest.mark.parametrize("as_directory", [False, True], ids=["deleted", "a_directory"])
+@pytest.mark.parametrize("regime, first, missing", [
+    ("unpaired", "trainB/0001.ppm", "trainB/0001_mask.pgm"),
+    ("paired", "train/0001_label.pgm", "train/0001_photo.ppm"),
+], ids=["unpaired", "paired"])
+def test_missing_second_file_of_a_sample_is_a_codec_error(tmp_path, regime, first, missing,
+                                                         as_directory):
+    if regime == "unpaired":
+        spec = UnpairedDatasetSpec(train_samples=2, test_samples=1)
+        save_unpaired(tmp_path, spec, gen_unpaired(spec))
+    else:
+        spec = PairedDatasetSpec(resolution=32, train_samples=2, test_samples=1)
+        save_paired(tmp_path, spec, *gen_paired(spec))
+    (tmp_path / missing).unlink()
+    if as_directory:
+        (tmp_path / missing).mkdir()
+    with pytest.raises(CodecError) as exc:
+        (load_unpaired if regime == "unpaired" else load_paired)(tmp_path)
+    assert str(tmp_path / first) in str(exc.value)
+    assert str(tmp_path / missing) in str(exc.value)
 
 
 def test_paired_label_and_photo_of_another_size_is_a_codec_error(tmp_path):

@@ -1,5 +1,6 @@
 """Tensor codec and checkpoint round-trip tests."""
 
+import math
 import struct
 
 import numpy as np
@@ -130,6 +131,14 @@ def test_dims_whose_product_overflows_int64_are_a_codec_error():
         tensor_from_bytes(buf)
 
 
+@pytest.mark.parametrize("dims", [(1,) * 70, (0, 2**31, 2**31)],
+                         ids=["rank_over_64", "empty_but_too_big"])
+def test_dims_numpy_cannot_shape_are_a_codec_error(dims):
+    buf = MAGIC + struct.pack(f"<II{len(dims)}I", 1, len(dims), *dims)
+    with pytest.raises(CodecError, match=f"rank-{len(dims)}"):
+        tensor_from_bytes(buf + bytes(4 * math.prod(dims)))
+
+
 def test_non_utf8_manifest_is_a_codec_error():
     buf = struct.pack("<I", 2) + b"\xff\xfe"
     with pytest.raises(CodecError):
@@ -226,6 +235,17 @@ def _save_with(root, target, key, value):
         loader = D.load_paired
     (root / "manifest.txt").write_text(format_config({**spec.manifest(), key: value}))
     return lambda: loader(root)
+
+
+# a typo, or a field of a newer spec: read as this spec, it would be a wrong model
+@pytest.mark.parametrize("target, key, value", [
+    ("checkpoint", "typo_ngf", "99"), ("checkpoint", "levels", "6"),
+    ("unpaired", "levels", "6"), ("paired", "coverage_lo", "0.2"),
+])
+def test_manifest_key_no_field_reads_is_a_codec_error(tmp_path, target, key, value):
+    load = _save_with(tmp_path, target, key, value)
+    with pytest.raises(CodecError, match=key):
+        load()
 
 
 # int() reads each of these as 32 and float() the underscored one as 0.03

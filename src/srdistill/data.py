@@ -363,8 +363,13 @@ _UNPAIRED_SPLITS = {"trainA": "train_a", "trainB": "train_b",
 
 
 def _write_split(d: Path, suffixes, parts) -> None:
-    """Writes `parts[k][i]` as part `suffixes[k]` of sample i to directory `d`."""
+    """Writes `parts[k][i]` as part `suffixes[k]` of sample i to directory `d`,
+    in place of every file a part's glob matched there, so that `d` reads
+    back as exactly these samples."""
     d.mkdir(parents=True, exist_ok=True)
+    for suffix in suffixes:
+        for old in d.glob(f"*{suffix}"):
+            old.unlink()
     for i, sample in enumerate(zip(*parts, strict=True)):
         for suffix, arr in zip(suffixes, sample):
             (write_ppm if suffix.endswith(".ppm") else write_pgm)(d / f"{i:04d}{suffix}", arr)

@@ -22,11 +22,24 @@ data and never gives it a gradient.
 Adversarial terms are least-squares (target 1 for real, 0 for fake).
 Reconstruction terms blend ground-truth against teacher outputs with weight
 alpha on ground truth. There is no identity term.
+
+The paired and cycle objectives share one skeleton, so each rule of the
+loss is written once. ``_translate_all`` requires the teachers when
+alpha < 1 or a gamma is nonzero; ``_translate`` picks a direction's teacher
+pass (``forward_split`` when its gamma is nonzero, else ``forward`` when
+alpha < 1, else none). ``_weigh`` sums the L1 terms and adds the total in one
+order: the GAN terms, each nonzero gamma times its similarity term, then
+``_blend``, cycle_weight * (alpha * gt + (1 - alpha) * kd), where kd is zero
+and no teacher runs for it when alpha = 1. ``_Terms.scalars`` lists the 0-d
+terms. An objective supplies only its regime's passes: which discriminator
+judges which output, and what each output is reconstructed against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -56,10 +69,11 @@ class DistillConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.gamma_a < 0.0 or self.gamma_b < 0.0:
-            raise ValueError("gamma weights must be >= 0")
-        if self.cycle_weight < 0.0:
-            raise ValueError("cycle_weight must be >= 0")
+        for name in ("gamma_a", "gamma_b", "cycle_weight"):
+            value = getattr(self, name)
+            # a NaN fails every comparison, so test for the accepted range
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -148,10 +162,11 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
     if teacher_feat.shape[0] != n:
         raise ShapeError(f"similarity batches differ: teacher "
                          f"{teacher_feat.shape[0]} vs student {n}")
-    dtype = np.result_type(teacher_feat.data, student_feat.data)
+    T._operands("similarity_loss", teacher_feat, student_feat)
+    dtype = student_feat.dtype
     p = h * w
-    fs_all = student_feat.data.reshape(n, -1, p).astype(dtype, copy=False)
-    ft_all = teacher_feat.data.reshape(n, -1, p).astype(dtype, copy=False)
+    fs_all = student_feat.data.reshape(n, -1, p)
+    ft_all = teacher_feat.data.reshape(n, -1, p)
     rows = min(p, max(1, BLOCK_ELEMS // p))
     blocks = [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
     # block buffers are reused: a fresh 4 MB array per block costs more in
@@ -212,12 +227,18 @@ def adversarial_loss(scores: Tensor, target_is_real: bool) -> Tensor:
     return T.square_mean(scores, target)
 
 
+def _blend(gt: Tensor, kd: Tensor | None, weight: float, alpha: float) -> Tensor:
+    """weight * (alpha * gt + (1 - alpha) * kd); weight * gt without kd."""
+    if kd is None:
+        return T.scale(gt, weight)
+    return T.add(T.scale(gt, weight * alpha), T.scale(kd, weight * (1.0 - alpha)))
+
+
 def vanilla_kd_cycle(real: Tensor, teacher_rec: Tensor, student_rec: Tensor,
                      alpha: float) -> Tensor:
     """Blend of L1 to ground truth and L1 to the teacher's reconstruction."""
-    gt = T.abs_mean(student_rec, real)
-    kd = T.abs_mean(student_rec, teacher_rec)
-    return T.add(T.scale(gt, alpha), T.scale(kd, 1.0 - alpha))
+    return _blend(T.abs_mean(student_rec, real),
+                  T.abs_mean(student_rec, teacher_rec), 1.0, alpha)
 
 
 def discriminator_loss(disc: Model, real: Tensor, fake: Tensor) -> Tensor:
@@ -232,24 +253,58 @@ def _zero(like: Tensor) -> Tensor:
 
 
 def _translate(gen: Model, teacher: Model | None, x: Tensor,
-               cfg: DistillConfig, use_sp: bool, use_kd: bool
+               cfg: DistillConfig, gamma: float
                ) -> tuple[Tensor, Tensor, Tensor | None]:
     """(similarity term, student output, teacher output) for one input.
 
-    The teacher runs only when a term needs it; without similarity the
-    term is a constant zero and the teacher output is None unless use_kd.
+    The teacher runs only when a term needs it: one ``forward_split`` when
+    gamma != 0, else one ``forward`` when alpha < 1. Without similarity the
+    term is a constant zero; without either the teacher output is None.
     """
-    if use_sp:
+    if gamma != 0.0:
         feat, fake = gen.forward_split(x, cfg.student_layer)
         tfeat, fake_t = teacher.forward_split(x, cfg.teacher_layer)
         return similarity_loss(tfeat, feat), fake, fake_t
     fake = gen.forward(x)
-    fake_t = teacher.forward(x) if use_kd else None
+    fake_t = teacher.forward(x) if cfg.alpha != 1.0 else None
     return _zero(x), fake, fake_t
 
 
+def _translate_all(cfg: DistillConfig, students, teachers, inputs, gammas):
+    """(similarity terms, student outputs, teacher outputs), one per direction."""
+    if ((cfg.alpha != 1.0 or any(g != 0.0 for g in gammas))
+            and any(t is None for t in teachers)):
+        raise ValueError("teachers required when alpha < 1 or a gamma is nonzero")
+    return zip(*(_translate(gen, teacher, x, cfg, gamma) for gen, teacher, x, gamma
+                 in zip(students, teachers, inputs, gammas)))
+
+
+def _weigh(cfg: DistillConfig, gans, sps, gammas, outs, reals, teacher_targets
+           ) -> tuple[Tensor, Tensor, Tensor]:
+    """(gt, kd, total): the L1 sums of the outputs to their ground truths and
+    to ``teacher_targets()``, called only when alpha < 1, and the total."""
+    def l1(targets):
+        return reduce(T.add, [T.abs_mean(o, t) for o, t in zip(outs, targets)])
+
+    gt = l1(reals)
+    kd = l1(teacher_targets()) if cfg.alpha != 1.0 else None
+    total = reduce(T.add, gans)
+    for sp, gamma in zip(sps, gammas):
+        if gamma != 0.0:
+            total = T.add(total, T.scale(sp, gamma))
+    total = T.add(total, _blend(gt, kd, cfg.cycle_weight, cfg.alpha))
+    return gt, (_zero(gt) if kd is None else kd), total
+
+
+class _Terms:
+    def scalars(self) -> dict[str, float]:
+        """Each 0-d term by field name, in declaration order."""
+        values = {f.name: getattr(self, f.name).data for f in fields(self)}
+        return {k: float(v) for k, v in values.items() if v.ndim == 0}
+
+
 @dataclass
-class CycleTerms:
+class CycleTerms(_Terms):
     """Generator-side terms of the cycle objective, unweighted where named."""
 
     gan_a: Tensor
@@ -261,11 +316,6 @@ class CycleTerms:
     total: Tensor
     fake_x: Tensor
     fake_y: Tensor
-
-    def scalars(self) -> dict[str, float]:
-        return {k: float(getattr(self, k).data)
-                for k in ("gan_a", "gan_b", "sp_a", "sp_b",
-                          "cyc_gt", "cyc_kd", "total")}
 
 
 def full_cycle_objective(g_a: Model, g_b: Model, d_a: Model, d_b: Model,
@@ -280,43 +330,20 @@ def full_cycle_objective(g_a: Model, g_b: Model, d_a: Model, d_b: Model,
     passes are skipped entirely when alpha = 1 and both gammas are 0, so a
     run with those settings is identical to training without a teacher.
     """
-    use_kd = cfg.alpha != 1.0
-    use_sp_a = cfg.gamma_a != 0.0
-    use_sp_b = cfg.gamma_b != 0.0
-    if (use_kd or use_sp_a or use_sp_b) and (teacher_a is None or teacher_b is None):
-        raise ValueError("teachers required when alpha < 1 or a gamma is nonzero")
-
-    sp_a, fake_y, fake_y_t = _translate(g_a, teacher_a, x, cfg, use_sp_a, use_kd)
-    sp_b, fake_x, fake_x_t = _translate(g_b, teacher_b, y, cfg, use_sp_b, use_kd)
-
+    gammas = (cfg.gamma_a, cfg.gamma_b)
+    sps, (fake_y, fake_x), (fake_y_t, fake_x_t) = _translate_all(
+        cfg, (g_a, g_b), (teacher_a, teacher_b), (x, y), gammas)
     gan_a = adversarial_loss(d_a.forward(fake_y), True)
     gan_b = adversarial_loss(d_b.forward(fake_x), True)
-
-    rec_x = g_b.forward(fake_y)
-    rec_y = g_a.forward(fake_x)
-    cyc_gt = T.add(T.abs_mean(rec_x, x), T.abs_mean(rec_y, y))
-    if use_kd:
-        rec_x_t = teacher_b.forward(fake_y_t)
-        rec_y_t = teacher_a.forward(fake_x_t)
-        cyc_kd = T.add(T.abs_mean(rec_x, rec_x_t), T.abs_mean(rec_y, rec_y_t))
-        cycle = T.add(T.scale(cyc_gt, cfg.cycle_weight * cfg.alpha),
-                      T.scale(cyc_kd, cfg.cycle_weight * (1.0 - cfg.alpha)))
-    else:
-        cyc_kd = _zero(x)
-        cycle = T.scale(cyc_gt, cfg.cycle_weight)
-
-    total = T.add(gan_a, gan_b)
-    if use_sp_a:
-        total = T.add(total, T.scale(sp_a, cfg.gamma_a))
-    if use_sp_b:
-        total = T.add(total, T.scale(sp_b, cfg.gamma_b))
-    total = T.add(total, cycle)
-    return CycleTerms(gan_a, gan_b, sp_a, sp_b, cyc_gt, cyc_kd, total,
-                      fake_x, fake_y)
+    cyc_gt, cyc_kd, total = _weigh(
+        cfg, (gan_a, gan_b), sps, gammas,
+        (g_b.forward(fake_y), g_a.forward(fake_x)), (x, y),
+        lambda: (teacher_b.forward(fake_y_t), teacher_a.forward(fake_x_t)))
+    return CycleTerms(gan_a, gan_b, *sps, cyc_gt, cyc_kd, total, fake_x, fake_y)
 
 
 @dataclass
-class PairedTerms:
+class PairedTerms(_Terms):
     """Generator-side terms of the paired objective."""
 
     gan: Tensor
@@ -325,10 +352,6 @@ class PairedTerms:
     l1_kd: Tensor
     total: Tensor
     fake: Tensor
-
-    def scalars(self) -> dict[str, float]:
-        return {k: float(getattr(self, k).data)
-                for k in ("gan", "sp", "l1_gt", "l1_kd", "total")}
 
 
 def paired_objective(gen: Model, disc: Model, x: Tensor, y: Tensor,
@@ -339,25 +362,9 @@ def paired_objective(gen: Model, disc: Model, x: Tensor, y: Tensor,
     The discriminator is conditional: it scores the input concatenated with
     the (real or generated) output. gamma_a weights the similarity term.
     """
-    use_kd = cfg.alpha != 1.0
-    use_sp = cfg.gamma_a != 0.0
-    if (use_kd or use_sp) and teacher is None:
-        raise ValueError("teacher required when alpha < 1 or gamma is nonzero")
-
-    sp, fake, y_t = _translate(gen, teacher, x, cfg, use_sp, use_kd)
-
+    (sp,), (fake,), (y_t,) = _translate_all(cfg, (gen,), (teacher,), (x,),
+                                            (cfg.gamma_a,))
     gan = adversarial_loss(disc.forward(T.concat([x, fake], axis=1)), True)
-    l1_gt = T.abs_mean(fake, y)
-    if use_kd:
-        l1_kd = T.abs_mean(fake, y_t)
-        recon = T.add(T.scale(l1_gt, cfg.cycle_weight * cfg.alpha),
-                      T.scale(l1_kd, cfg.cycle_weight * (1.0 - cfg.alpha)))
-    else:
-        l1_kd = _zero(x)
-        recon = T.scale(l1_gt, cfg.cycle_weight)
-
-    total = gan
-    if use_sp:
-        total = T.add(total, T.scale(sp, cfg.gamma_a))
-    total = T.add(total, recon)
+    l1_gt, l1_kd, total = _weigh(cfg, (gan,), (sp,), (cfg.gamma_a,), (fake,), (y,),
+                                 lambda: (y_t,))
     return PairedTerms(gan, sp, l1_gt, l1_kd, total, fake)

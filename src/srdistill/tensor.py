@@ -347,6 +347,8 @@ def _pad(x: np.ndarray, p: int, mode: str) -> np.ndarray:
 
 def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
     """Pad the last two axes by `padding` on every side (zero or reflect)."""
+    if mode not in ("zero", "reflect"):
+        raise ValueError(f"pad2d: unknown mode {mode!r}")
     if padding < 0:
         raise ShapeError(f"pad2d: negative padding {padding}")
     if padding == 0:
@@ -360,7 +362,7 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
         def backward(g):
             _accum(a, g[:, :, p:p + H, p:p + W])
 
-    elif mode == "reflect":
+    else:
         if p >= H or p >= W:
             raise ShapeError(
                 f"pad2d reflect: padding {p} too large for spatial size {H}x{W}"
@@ -369,8 +371,6 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
         def backward(g):
             _accum(a, _reflect_fold(g, p, H, W))
 
-    else:
-        raise ValueError(f"pad2d: unknown mode {mode!r}")
     return _make(_pad(a.data, p, mode), (a,), backward)
 
 

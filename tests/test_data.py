@@ -239,6 +239,35 @@ def test_paired_save_load_round_trip(tmp_path):
         assert np.array_equal(a.photo, b.photo)
 
 
+def test_unpaired_save_over_a_larger_dataset_reads_back_what_was_saved(tmp_path):
+    big = UnpairedDatasetSpec(train_samples=3, test_samples=2, seed=1)
+    save_unpaired(tmp_path, big, gen_unpaired(big))
+    small = UnpairedDatasetSpec(train_samples=2, test_samples=1, seed=2)
+    ds = gen_unpaired(small)
+    save_unpaired(tmp_path, small, ds)
+    assert sorted(p.name for p in (tmp_path / "trainA").iterdir()) == [
+        "0000.ppm", "0000_mask.pgm", "0001.ppm", "0001_mask.pgm"]
+    spec2, ds2 = load_unpaired(tmp_path)
+    assert spec2 == small
+    for field in ("train_a", "mask_train_a", "train_b", "test_a", "mask_test_b"):
+        assert np.array_equal(getattr(ds2, field), getattr(ds, field)), field
+
+
+def test_paired_save_over_a_larger_dataset_reads_back_what_was_saved(tmp_path):
+    big = PairedDatasetSpec(resolution=48, train_samples=3, test_samples=2, seed=1)
+    save_paired(tmp_path, big, *gen_paired(big))
+    small = PairedDatasetSpec(resolution=48, train_samples=2, test_samples=1, seed=2)
+    train, test = gen_paired(small)
+    save_paired(tmp_path, small, train, test)
+    assert sorted(p.name for p in (tmp_path / "test").iterdir()) == [
+        "0000_label.pgm", "0000_photo.ppm"]
+    spec2, train2, test2 = load_paired(tmp_path)
+    assert spec2 == small and len(train2) == 2 and len(test2) == 1
+    for a, b in zip(train + test, train2 + test2):
+        assert np.array_equal(a.label, b.label)
+        assert np.array_equal(a.photo, b.photo)
+
+
 def test_load_rejects_wrong_manifest_kind(tmp_path):
     spec = PairedDatasetSpec(resolution=48, train_samples=1, test_samples=0)
     train, test = gen_paired(spec)

@@ -1,5 +1,6 @@
 """Loss tests: similarity-matrix oracle, invariances, reduction identities."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -183,6 +184,15 @@ def test_distill_config_validation():
         DistillConfig(cycle_weight=-1.0)
 
 
+@pytest.mark.parametrize("field", ["gamma_a", "gamma_b", "cycle_weight"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_distill_config_rejects_non_finite_weights(field, value):
+    # a NaN fails every comparison, so a `< 0` check alone lets it make
+    # every total NaN
+    with pytest.raises(ValueError, match=field):
+        DistillConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # full objectives on tiny models
 
@@ -252,6 +262,66 @@ def test_mismatched_tap_resolutions_fail_loudly():
     with pytest.raises(ShapeError) as exc:
         full_cycle_objective(g_a, g_b, d_a, d_b, x, y, cfg, t_a, t_b)
     assert "16x16" in str(exc.value) and "4x4" in str(exc.value)
+
+
+class _CountingTeacher:
+    """Stands in for a frozen teacher model and records each pass it runs."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, []
+
+    def forward(self, x):
+        self.calls.append("forward")
+        return self.model.forward(x)
+
+    def forward_split(self, x, layer=None):
+        self.calls.append("forward_split")
+        return self.model.forward_split(x, layer)
+
+
+FWD, SPLIT = "forward", "forward_split"
+
+
+@pytest.mark.parametrize("alpha, gammas, calls_a, calls_b", [
+    (1.0, (0.0, 0.0), [], []),
+    (0.05, (0.0, 0.0), [FWD, FWD], [FWD, FWD]),
+    (1.0, (0.5, 0.5), [SPLIT], [SPLIT]),
+    (0.05, (0.5, 0.5), [SPLIT, FWD], [SPLIT, FWD]),
+    (1.0, (0.5, 0.0), [SPLIT], []),
+    (0.05, (0.5, 0.0), [SPLIT, FWD], [FWD, FWD]),
+])
+def test_cycle_objective_runs_only_the_teacher_passes_a_term_needs(
+        alpha, gammas, calls_a, calls_b):
+    # a teacher feature is needed only for a nonzero gamma, and a teacher
+    # output (and cycle) only for alpha < 1; every needed pass runs once
+    g_a, g_b, d_a, d_b, t_a, t_b, x, y = _tiny_setup(seed=9)
+    cfg = DistillConfig(gamma_a=gammas[0], gamma_b=gammas[1], alpha=alpha)
+    c_a, c_b = _CountingTeacher(t_a), _CountingTeacher(t_b)
+    counted = full_cycle_objective(g_a, g_b, d_a, d_b, x, y, cfg, c_a, c_b)
+    assert (c_a.calls, c_b.calls) == (calls_a, calls_b)
+    direct = full_cycle_objective(g_a, g_b, d_a, d_b, x, y, cfg, t_a, t_b)
+    assert counted.scalars() == direct.scalars()
+
+
+@pytest.mark.parametrize("alpha, gamma, calls", [
+    (1.0, 0.0, []),
+    (0.5, 0.0, [FWD]),
+    (1.0, 0.5, [SPLIT]),
+    (0.5, 0.5, [SPLIT]),
+])
+def test_paired_objective_runs_only_the_teacher_passes_a_term_needs(alpha, gamma, calls):
+    rng = np.random.default_rng(10)
+    gen = build_generator(GeneratorSpec("resnet", 4, 1, resolution=16), rng)
+    teacher = build_generator(GeneratorSpec("resnet", 8, 1, resolution=16), rng)
+    teacher.set_requires_grad(False)
+    disc = build_discriminator(DiscriminatorSpec(ndf=4, n_layers=1, in_channels=6), rng)
+    x = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)))
+    y = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)))
+    cfg = DistillConfig(gamma_a=gamma, alpha=alpha)
+    counting = _CountingTeacher(teacher)
+    counted = paired_objective(gen, disc, x, y, cfg, counting)
+    assert counting.calls == calls
+    assert counted.scalars() == paired_objective(gen, disc, x, y, cfg, teacher).scalars()
 
 
 def test_discriminator_loss_is_halved_sum():
@@ -402,6 +472,16 @@ def test_similarity_loss_shape_errors():
         similarity_loss(Tensor(np.ones((2, 2, 2, 2))), Tensor(np.ones((1, 2, 2, 2))))
     with pytest.raises(ShapeError):
         similarity_loss(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 2, 4, 4))))
+
+
+@pytest.mark.parametrize("teacher_dtype, student_dtype",
+                         [(np.float64, np.float32), (np.float32, np.float64)])
+def test_similarity_loss_rejects_mixed_dtypes(teacher_dtype, student_dtype):
+    # as every other two-operand op: no silent promotion of the loss
+    teacher = Tensor(np.ones((1, 4, 3, 3), dtype=teacher_dtype))
+    student = Tensor(np.ones((1, 2, 3, 3), dtype=student_dtype), requires_grad=True)
+    with pytest.raises(TypeError, match="dtypes"):
+        similarity_loss(teacher, student)
 
 
 def test_similarity_loss_memory_at_p4096():

@@ -505,6 +505,15 @@ def test_pad2d_reflect_rejects_pad_wider_than_input():
         T.pad2d(x, 3, mode="reflect")
 
 
+@pytest.mark.parametrize("padding", [0, 1])
+def test_pad2d_and_conv2d_reject_an_unknown_mode_at_any_padding(padding):
+    x = Tensor(np.zeros((1, 1, 3, 3)))
+    with pytest.raises(ValueError, match="refelct"):
+        T.pad2d(x, padding, "refelct")
+    with pytest.raises(ValueError, match="bogus"):
+        T.conv2d(x, Tensor(np.zeros((1, 1, 1, 1))), padding=padding, pad_mode="bogus")
+
+
 def test_instance_norm_per_channel_moments():
     rng = np.random.default_rng(9)
     x = rng.normal(2.0, 3.0, size=(2, 4, 6, 6))

@@ -187,11 +187,11 @@ def _render_label_scene(rng, res):
         bx = int(rng.integers(0, max(1, res - bw)))
         label[max(0, horizon - bh):horizon, bx:bx + bw] = 1
 
+    yy, xx = np.ogrid[0:res, 0:res]
     for _ in range(int(rng.integers(1, 4))):  # vegetation blobs near horizon
         r = int(rng.uniform(0.05, 0.12) * res)
         cx = int(rng.integers(r, res - r))
         cy = int(rng.integers(max(r, horizon - 2 * r), horizon + r))
-        yy, xx = np.mgrid[0:res, 0:res]
         label[((xx - cx) ** 2 + (yy - cy) ** 2) <= r * r] = 3
 
     vw = max(2, int(rng.uniform(0.08, 0.15) * res))  # one vehicle on the road
@@ -205,21 +205,26 @@ def _render_label_scene(rng, res):
 def _render_photo(rng, label, noise):
     res = label.shape[0]
     photo = PALETTE[label].astype(np.float64)
-    yy, xx = np.mgrid[0:res, 0:res]
+    yy, xx = np.ogrid[0:res, 0:res]
 
-    sky = label == 0  # brighter toward the top
-    photo[sky] += ((1.0 - yy / res) * 25.0)[sky, None]
-    brick = (label == 1) & (((yy // max(2, res // 32)) % 2) == 0)
-    photo[brick] -= 22.0
-    road = label == 2
-    photo[road] += rng.normal(0.0, 6.0, (res, res, 3))[road]
-    veg = label == 3
-    photo[veg] += rng.normal(0.0, 10.0, (res, res, 1)).repeat(3, axis=2)[veg]
-    shine = (label == 4) & (((xx // max(2, res // 64)) % 3) == 0)
-    photo[shine] += 18.0
+    # Each class's update is a ufunc with out=photo and where=mask, not a
+    # gather-add-scatter through photo[mask]. Both add or subtract the same
+    # two float64 operands at every masked pixel, once, in the same class
+    # order, and leave the other pixels unwritten, so the bytes are the same;
+    # the draws are the same too, as each rng.normal call still covers the
+    # whole image.
+    def update(op, term, mask):
+        op(photo, term, out=photo, where=mask[..., None])
+
+    update(np.add, ((1.0 - yy / res) * 25.0)[..., None], label == 0)  # sky, brighter up top
+    update(np.subtract, 22.0, (label == 1) & (((yy // max(2, res // 32)) % 2) == 0))  # brick
+    update(np.add, rng.normal(0.0, 6.0, (res, res, 3)), label == 2)  # road
+    update(np.add, rng.normal(0.0, 10.0, (res, res, 1)), label == 3)  # vegetation, grey
+    update(np.add, 18.0, (label == 4) & (((xx // max(2, res // 64)) % 3) == 0))  # shine
 
     photo += rng.normal(0.0, noise * 255.0, photo.shape)
-    return np.clip(np.rint(photo), 0, 255).astype(np.uint8)
+    np.rint(photo, out=photo)
+    return np.clip(photo, 0, 255, out=photo).astype(np.uint8)
 
 
 def _paired_split(spec, split, count):
@@ -246,8 +251,9 @@ def _write_netpbm(path, magic: bytes, arr: np.ndarray) -> None:
     if arr.dtype != np.uint8:  # a cast would wrap values outside 0..255
         raise CodecError(f"netpbm wants uint8 values, got {arr.dtype}")
     h, w = arr.shape[:2]
-    header = magic + b"\n%d %d\n255\n" % (w, h)
-    Path(path).write_bytes(header + arr.tobytes())
+    with open(path, "wb") as f:
+        f.write(magic + b"\n%d %d\n255\n" % (w, h))
+        f.write(np.ascontiguousarray(arr))  # the pixels' own buffer, when C-ordered
 
 
 def write_ppm(path, img: np.ndarray) -> None:
@@ -276,7 +282,8 @@ def _read_netpbm(path) -> tuple[bytes, np.ndarray]:
             raise CodecError(f"{path}: truncated header")
         ch = raw[pos:pos + 1]
         if ch == b"#":
-            pos = raw.index(b"\n", pos) + 1 if b"\n" in raw[pos:] else len(raw)
+            nl = raw.find(b"\n", pos)
+            pos = len(raw) if nl < 0 else nl + 1
         elif ch.isspace():
             pos += 1
         else:
@@ -300,7 +307,7 @@ def _read_netpbm(path) -> tuple[bytes, np.ndarray]:
 
     channels = 3 if magic == b"P6" else 1
     expected = w * h * channels
-    payload = raw[pos:]
+    payload = memoryview(raw)[pos:]
     if len(payload) != expected:
         raise CodecError(f"{path}: payload expected {expected} bytes, "
                          f"got {len(payload)}")

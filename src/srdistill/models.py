@@ -430,11 +430,13 @@ def save_model(path, model: Model) -> None:
 class _NoDraws:
     """Stands in for the RNG of a skeleton whose weights are all replaced.
 
-    Its ``normal`` draws nothing: it returns an uninitialised array of the
-    skeleton's dtype, which the layers keep without a copy. It hands out at
-    most the `budget` values the checkpoint stores, so a manifest naming a
-    model larger than its checkpoint is a CodecError before the skeleton
-    allocates more than that.
+    Its ``normal`` draws nothing and allocates nothing: it returns a
+    read-only, zero-strided view of one value of the skeleton's dtype, which
+    the layers keep without a copy until ``load_model`` puts the decoded
+    array in its place. So a load holds the checkpoint's values once, not
+    once more for the skeleton. It hands out at most the `budget` values the
+    checkpoint stores, so a manifest naming a model larger than its
+    checkpoint is a CodecError.
     """
 
     def __init__(self, dtype, budget: int):
@@ -446,7 +448,7 @@ class _NoDraws:
         if self.budget < 0:
             raise CodecError("the manifest's model has more weights than "
                              "the checkpoint stores")
-        return np.empty(size, dtype=self.dtype)
+        return np.broadcast_to(np.empty((), dtype=self.dtype), size)
 
 
 def load_model(path, dtype=np.float32) -> Model:

@@ -10,6 +10,15 @@ describing the architecture spec, in the ``config`` format) followed by a
 sequence of (u32 name length, name bytes, SRDT tensor payload) records
 with distinct names.
 
+There is one codec, and it works over a binary stream. The encoder yields
+the manifest, then each record's header, then a view of each tensor's
+float32 values; the file writers write these chunks one by one, so no
+whole-file buffer is made. The decoder checks each size from a header
+against the bytes left in the stream before it allocates, and reads each
+payload straight into a fresh, aligned array of its own. The bytes API is
+that codec: ``*_to_bytes`` joins the encoder's chunks and ``*_from_bytes``
+runs the decoder over an ``io.BytesIO``.
+
 Specs (model architectures, datasets) travel as key=value manifests made
 by one codec, ``encode_spec``/``decode_spec``. The first key is ``kind``;
 then each dataclass field, in declaration order, is one key holding
@@ -23,12 +32,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import math
 import os
 import secrets
 import struct
 import typing
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -43,39 +55,14 @@ class CodecError(ValueError):
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr)
-    header = MAGIC + struct.pack("<II", VERSION, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    body = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return header + body
+    return b"".join(_tensor_chunks(arr))
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one tensor record; returns (array, offset past the record)."""
-    if buf[offset:offset + 4] != MAGIC:
-        raise CodecError(f"bad magic {buf[offset:offset + 4]!r}, expected {MAGIC!r}")
-    offset += 4
-    _need(buf, offset, 8, "tensor header")
-    version, rank = struct.unpack_from("<II", buf, offset)
-    offset += 8
-    if version != VERSION:
-        raise CodecError(f"unsupported tensor codec version {version}")
-    _need(buf, offset, 4 * rank, f"dims of a rank-{rank} tensor")
-    dims = struct.unpack_from(f"<{rank}I", buf, offset)
-    offset += 4 * rank
-    nbytes = 4 * math.prod(dims)  # Python ints: no wrap-around on huge dims
-    _need(buf, offset, nbytes, "tensor payload")
-    arr = np.frombuffer(buf, dtype="<f4", count=nbytes // 4, offset=offset)
-    try:  # numpy rejects over 64 dims, and nonzero dims too big together, even at size 0
-        return arr.reshape(dims).copy(), offset + nbytes
-    except ValueError as exc:
-        raise CodecError(f"rank-{rank} tensor: {exc}") from None
-
-
-def _need(buf: bytes, offset: int, nbytes: int, what: str) -> None:
-    if len(buf) - offset < nbytes:
-        raise CodecError(f"truncated {what}: expected {nbytes} bytes, "
-                         f"got {max(len(buf) - offset, 0)}")
+    f = io.BytesIO(buf)
+    f.seek(offset)
+    return _decode_tensor(_Stream(f)), f.tell()
 
 
 def _decode(raw: bytes, what: str) -> str:
@@ -95,14 +82,15 @@ def manifest_from_bytes(raw: bytes, what: str) -> dict[str, str]:
 
 
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
-    _atomic_write(path, tensor_to_bytes(arr))
+    _atomic_write(path, _tensor_chunks(arr))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    arr, end = tensor_from_bytes(buf)
-    if end != len(buf):
-        raise CodecError(f"{path}: {len(buf) - end} trailing bytes after tensor")
+    with open(path, "rb") as f:
+        stream = _Stream(f)
+        arr = _decode_tensor(stream)
+    if stream.left:
+        raise CodecError(f"{path}: {stream.left} trailing bytes after tensor")
     return arr
 
 
@@ -112,50 +100,123 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 def checkpoint_to_bytes(manifest: dict[str, str],
                         params: list[tuple[str, np.ndarray]]) -> bytes:
-    try:
-        lines = format_config(manifest).encode()
-    except ConfigError as exc:
-        raise CodecError(f"checkpoint manifest: {exc}") from None
-    chunks = [struct.pack("<I", len(lines)), lines]
-    for name, arr in params:
-        nb = name.encode()
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(tensor_to_bytes(arr))
-    return b"".join(chunks)
+    return b"".join(_checkpoint_chunks(manifest, params))
 
 
 def checkpoint_from_bytes(buf: bytes) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]:
-    _need(buf, 0, 4, "checkpoint manifest length")
-    (mlen,) = struct.unpack_from("<I", buf, 0)
-    offset = 4
-    _need(buf, offset, mlen, "checkpoint manifest")
-    manifest = manifest_from_bytes(buf[offset:offset + mlen], "checkpoint manifest")
-    offset += mlen
-    params: list[tuple[str, np.ndarray]] = []
-    seen: set[str] = set()
-    while offset < len(buf):
-        _need(buf, offset, 4, "checkpoint record header")
-        (nlen,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        _need(buf, offset, nlen, "parameter name")
-        name = _decode(buf[offset:offset + nlen], "parameter name")
-        if name in seen:
-            raise CodecError(f"repeated parameter name {name!r}")
-        seen.add(name)
-        offset += nlen
-        arr, offset = tensor_from_bytes(buf, offset)
-        params.append((name, arr))
-    return manifest, params
+    return _decode_checkpoint(_Stream(io.BytesIO(buf)))
 
 
 def write_checkpoint(path: str | Path, manifest: dict[str, str],
                      params: list[tuple[str, np.ndarray]]) -> None:
-    _atomic_write(path, checkpoint_to_bytes(manifest, params))
+    _atomic_write(path, _checkpoint_chunks(manifest, params))
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]:
-    return checkpoint_from_bytes(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return _decode_checkpoint(_Stream(f))
+
+
+# ---------------------------------------------------------------------------
+# the codec
+
+
+def _tensor_chunks(arr: np.ndarray) -> Iterator[bytes | memoryview]:
+    """The SRDT record of `arr`: its header, then a view of its float32 values
+    (a copy only where `arr` is not already C-ordered little-endian float32)."""
+    arr = np.asarray(arr, dtype="<f4", order="C")
+    yield MAGIC + struct.pack(f"<II{arr.ndim}I", VERSION, arr.ndim, *arr.shape)
+    yield _byte_view(arr)
+
+
+def _checkpoint_chunks(manifest: dict[str, str],
+                       params: list[tuple[str, np.ndarray]]) -> Iterator[bytes | memoryview]:
+    """The manifest, then each parameter's name record and SRDT record."""
+    try:
+        lines = format_config(manifest).encode()
+    except ConfigError as exc:
+        raise CodecError(f"checkpoint manifest: {exc}") from None
+    yield struct.pack("<I", len(lines)) + lines
+    for name, arr in params:
+        nb = name.encode()
+        yield struct.pack("<I", len(nb)) + nb
+        yield from _tensor_chunks(arr)
+
+
+def _byte_view(arr: np.ndarray) -> memoryview:
+    """The bytes of C-contiguous `arr`, writable if `arr` is, without a copy."""
+    return memoryview(arr.reshape(-1).view(np.uint8))
+
+
+class _Stream:
+    """A binary stream read front to back, knowing how many bytes are left.
+
+    Every read checks its size against what is left before it allocates, so
+    a header claiming more than the stream holds is a CodecError, never a
+    huge allocation.
+    """
+
+    def __init__(self, f: BinaryIO):
+        self.f = f
+        start = f.tell()
+        self.left = max(f.seek(0, os.SEEK_END) - start, 0)
+        f.seek(start)
+
+    def need(self, nbytes: int, what: str) -> None:
+        if self.left < nbytes:
+            raise CodecError(f"truncated {what}: expected {nbytes} bytes, got {self.left}")
+
+    def read(self, nbytes: int, what: str) -> bytes:
+        self.need(nbytes, what)
+        raw = self.f.read(nbytes)
+        self._advance(len(raw), nbytes, what)
+        return raw
+
+    def readinto(self, arr: np.ndarray, what: str) -> None:
+        """Fill `arr`, which the caller sized after a ``need`` check."""
+        self._advance(self.f.readinto(_byte_view(arr)), arr.nbytes, what)
+
+    def _advance(self, got: int | None, nbytes: int, what: str) -> None:
+        if got != nbytes:  # the stream shrank under us, or gave a short read
+            raise CodecError(f"short read of {what}: expected {nbytes} bytes, got {got}")
+        self.left -= nbytes
+
+
+def _decode_tensor(stream: _Stream) -> np.ndarray:
+    magic = stream.read(min(4, stream.left), "tensor magic")
+    if magic != MAGIC:
+        raise CodecError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    version, rank = struct.unpack("<II", stream.read(8, "tensor header"))
+    if version != VERSION:
+        raise CodecError(f"unsupported tensor codec version {version}")
+    dims = struct.unpack(f"<{rank}I", stream.read(4 * rank, f"dims of a rank-{rank} tensor"))
+    stream.need(4 * math.prod(dims), "tensor payload")  # Python ints: no wrap-around on huge dims
+    try:  # numpy rejects over 64 dims, and nonzero dims too big together, even at size 0
+        arr = np.empty(dims, dtype="<f4")
+    except ValueError as exc:
+        raise CodecError(f"rank-{rank} tensor: {exc}") from None
+    stream.readinto(arr, "tensor payload")
+    return arr
+
+
+def _decode_checkpoint(stream: _Stream) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]:
+    (mlen,) = struct.unpack("<I", stream.read(4, "checkpoint manifest length"))
+    manifest = manifest_from_bytes(stream.read(mlen, "checkpoint manifest"),
+                                   "checkpoint manifest")
+    params: list[tuple[str, np.ndarray]] = []
+    seen: set[str] = set()
+    while stream.left:
+        (nlen,) = struct.unpack("<I", stream.read(4, "checkpoint record header"))
+        name = _decode(stream.read(nlen, "parameter name"), "parameter name")
+        if name in seen:
+            raise CodecError(f"repeated parameter name {name!r}")
+        seen.add(name)
+        params.append((name, _decode_tensor(stream)))
+    return manifest, params
+
+
+# ---------------------------------------------------------------------------
+# spec manifests
 
 
 def manifest_value(manifest: dict[str, str], key: str, conv):
@@ -222,16 +283,21 @@ def _field_types(cls) -> tuple[tuple[str, type], ...]:
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def _atomic_write(path: str | Path, data: bytes) -> None:
+def _atomic_write(path: str | Path, chunks: Iterable[bytes | memoryview]) -> None:
     # write-temp-then-rename so concurrent readers never see partial files.
     # The temp name is unique and O_EXCL never opens an existing file; unlike
     # tempfile.mkstemp (mode 0600), mode 0666 lets the umask set permissions.
+    # The first chunk is made before the temp file: a manifest the encoder
+    # rejects leaves nothing behind.
+    chunks = iter(chunks)
+    first = next(chunks, b"")
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.write(first)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -132,25 +132,27 @@ def _render_striped_ellipse(rng, spec: UnpairedDatasetSpec, horizontal: bool):
     cx = rng.uniform(rx + 0.5, res - rx - 1.5)
     cy = rng.uniform(ry + 0.5, res - ry - 1.5)
 
-    yy, xx = np.mgrid[0:res, 0:res]
+    yy, xx = np.ogrid[0:res, 0:res]
     mask = (((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2) <= 1.0
 
     half = max(1, spec.stripe_period // 2)
     phase = int(rng.integers(0, spec.stripe_period))
     lane = yy if horizontal else xx
-    stripe = ((lane + phase) // half) % 2
+    stripe = ((lane + phase) // half) % 2  # one row or column, broadcast
 
     fg_base = rng.uniform(150.0, 190.0)
     swing = spec.stripe_contrast * 70.0
     fg_val = np.where(stripe == 0, fg_base + swing, fg_base - swing)
     bg_base = rng.uniform(70.0, 110.0)
 
+    # per channel the background, then the stripes copied in where the mask is
     img = np.empty((res, res, 3), dtype=np.float64)
-    img[..., 0] = np.where(mask, fg_val + 20.0, bg_base - 10.0)
-    img[..., 1] = np.where(mask, fg_val, bg_base)
-    img[..., 2] = np.where(mask, fg_val - 30.0, bg_base + 15.0)
+    for c, (fg, bg) in enumerate(((20.0, -10.0), (0.0, 0.0), (-30.0, 15.0))):
+        img[..., c].fill(bg_base + bg)
+        np.copyto(img[..., c], fg_val + fg, where=mask)
     img += rng.normal(0.0, spec.noise * 255.0, img.shape)
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8), mask.astype(np.uint8)
+    np.rint(img, out=img)
+    return np.clip(img, 0, 255, out=img).astype(np.uint8), mask.astype(np.uint8)
 
 
 def _unpaired_split(spec, domain, split, count):
@@ -412,6 +414,8 @@ def _read_spec(root: Path, kinds: dict[str, type]):
     try:
         raw = (root / "manifest.txt").read_bytes()
         return decode_spec(manifest_from_bytes(raw, "manifest"), kinds)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise CodecError(f"{root}: manifest.txt: {exc.strerror}") from None
     except CodecError as exc:
         raise CodecError(f"{root}: {exc}") from None
 

@@ -193,7 +193,7 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
             total += float(np.abs(d, out=d).sum(axis=1).sum(dtype=np.float64))
         saved.append((a_s, inv_s, gram_s))
 
-    def backward(g):
+    def backward(g, vs):
         # with A = diag(1/r) S, G = sign(A_s - A_t) and dot_i = G_i . A_i:
         # dF = F (dS + dS^T), dS = diag(1/r) G - diag(dot/r^2) S
         grad = np.empty_like(fs_all)
@@ -214,7 +214,7 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
             df -= q @ fs
             grad[k] = df
         grad *= float(g) / (n * p * p)
-        T._accum(student_feat, grad.reshape(student_feat.shape))
+        T._accum(vs, grad.reshape(n, -1, h, w))
 
     out = np.asarray(total / (n * p * p), dtype=dtype)
     return T._make(out, (student_feat,), backward)

@@ -461,13 +461,14 @@ def load_model(path, dtype=np.float32) -> Model:
     except CodecError as exc:
         raise CodecError(f"{path}: {exc}") from None
     stored = dict(params)
+    del params  # each decoded array is dropped as it is placed, not at return
     expected = [n for n, _ in model.named_params()]
     missing = [n for n in expected if n not in stored]
     extra = [n for n in stored if n not in expected]
     if missing or extra:
         raise CodecError(f"{path}: checkpoint mismatch: missing {missing}, extra {extra}")
     for name, t in model.named_params():
-        arr = stored[name]
+        arr = stored.pop(name)
         if arr.shape != t.shape:
             raise CodecError(f"{path}: {name}: checkpoint shape {arr.shape} "
                              f"vs model {t.shape}")

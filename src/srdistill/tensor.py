@@ -1,12 +1,23 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Everything is numpy-backed and CPU-only. A Tensor records the operation
-that produced it and its parent tensors; ``backward()`` on a scalar loss
-walks that graph in reverse topological order and accumulates gradients
-on every leaf ancestor with ``requires_grad``. Intermediate nodes drop
-their gradient once it has been passed to their parents, so repeated
-walks over one graph accumulate into the leaves exactly once each.
-Image tensors are NCHW.
+Everything is numpy-backed and CPU-only. An op output that takes a
+gradient gets a ``_Node``: its grad slot, its backward closure and its
+parent vertices, where a vertex is a node or a leaf Tensor with
+``requires_grad``. ``backward()`` on a scalar loss walks the vertices in
+reverse topological order and accumulates gradients on every leaf vertex.
+Intermediate nodes drop their gradient once it has been passed to their
+parents, so repeated walks over one graph accumulate into the leaves
+exactly once each. Image tensors are NCHW.
+
+The graph keeps only the arrays a backward reads (saved tensors as in
+PyTorch, Paszke et al. 2019, arXiv 1912.01703). A closure saves relu's and
+leaky_relu's input, the operands of mul and matmul, the outputs of tanh,
+row_l2_normalize and instance_norm, the mean losses' differences, and a
+conv's input only when its weight takes a gradient; elsewhere it keeps
+shapes and dtypes. A node reaches its output only through a weakref. An
+operand gets a gradient from an op only if it required one when the op ran:
+a frozen teacher's target or a frozen discriminator's weights are no
+vertex, even if ``requires_grad`` is set later.
 
 Gradient conventions at kinks: relu/leaky_relu take the positive branch
 at exactly 0, the gradient of ``|x|`` at 0 is 0.
@@ -14,6 +25,7 @@ at exactly 0, the gradient of ``|x|`` at 0 is 0.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -34,14 +46,13 @@ def _as_float_array(data) -> np.ndarray:
 class Tensor:
     """N-dimensional float array, optionally tracked in an autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_float_array(data)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -51,6 +62,18 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def _parents(self) -> tuple:
+        return self._node._parents if self._node is not None else ()
+
+    @property
+    def _backward_fn(self) -> Callable[[np.ndarray], None] | None:
+        return self._node._backward_fn if self._node is not None else None
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn: Callable[[np.ndarray], None]) -> None:
+        self._node._backward_fn = fn
+
     def numel(self) -> int:
         return self.data.size
 
@@ -58,14 +81,20 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar on all requires-grad leaf ancestors."""
+        """Accumulate gradients of this scalar on all requires-grad leaf ancestors.
+
+        A second walk reruns each closure on its saved arrays and adds the same
+        gradients again to the leaves that required one when their ops ran."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
             )
-        topo: list[Tensor] = []
+        root = _vertex(self)
+        if root is None:
+            return
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[object, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -78,7 +107,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        _accum(self, np.ones_like(self.data))
+        _accum(root, np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -90,23 +119,58 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+_FREED = np.empty(0)
+
+
+class _Node:
+    """Graph vertex of one op output: grad slot, backward fn, parent vertices.
+
+    ``data`` is the output array while something else holds it, else empty."""
+
+    __slots__ = ("grad", "dtype", "_parents", "_backward_fn", "_data")
+
+    def __init__(self, data: np.ndarray, parents: tuple, backward_fn):
+        self.grad: np.ndarray | None = None
+        self.dtype = data.dtype
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self._data = weakref.ref(data)
+
+    @property
+    def data(self) -> np.ndarray:
+        data = self._data()
+        return _FREED if data is None else data
+
+
+def _vertex(t: Tensor):
+    """t's graph vertex now: its node, t itself as a leaf, or None without a grad."""
+    return (t._node or t) if t.requires_grad else None
+
+
 def _make(out_data: np.ndarray, parents: Sequence[Tensor],
-          backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
+          backward_fn: Callable[..., None]) -> Tensor:
+    """The op's output; a graph node when an operand requires a grad now.
+
+    ``backward_fn(g, *vertices)`` gets the vertex of each of ``parents`` as
+    the op ran, None for one without a grad, and reads no Tensor.
+    """
     out = Tensor(out_data)
-    if backward_fn is not None and any(p.requires_grad for p in parents):
+    vertices = tuple(_vertex(p) for p in parents)
+    held = tuple(v for v in vertices if v is not None)
+    if held:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._node = _Node(out.data, held, lambda g: backward_fn(g, *vertices))
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(v, g: np.ndarray) -> None:
+    """Add g to the grad slot of vertex v (a node or a leaf); None takes none."""
+    if v is None:
         return
-    if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+    if v.grad is None:
+        v.grad = g.astype(v.dtype, copy=True)
     else:
-        t.grad += g
+        v.grad += g
 
 
 def _operands(op: str, a: Tensor, b: Tensor, shape: tuple | None = None) -> None:
@@ -124,9 +188,9 @@ def _operands(op: str, a: Tensor, b: Tensor, shape: tuple | None = None) -> None
 def add(a: Tensor, b: Tensor) -> Tensor:
     _operands("add", a, b, a.shape)
 
-    def backward(g):
-        _accum(a, g)
-        _accum(b, g)
+    def backward(g, va, vb):
+        _accum(va, g)
+        _accum(vb, g)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -134,52 +198,56 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _operands("sub", a, b, a.shape)
 
-    def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
+    def backward(g, va, vb):
+        _accum(va, g)
+        _accum(vb, -g)
 
     return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _operands("mul", a, b, a.shape)
+    x, y = a.data, b.data
 
-    def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+    def backward(g, va, vb):
+        _accum(va, g * y)
+        _accum(vb, g * x)
 
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(x * y, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)  # NumPy 1.x makes a 0-d float32 * float a float64
-    def backward(g):
-        _accum(a, g * c)
+    def backward(g, va):
+        _accum(va, g * c)
 
     return _make(a.data * c, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, g * (a.data >= 0))
+    x = a.data
 
-    return _make(np.maximum(a.data, 0), (a,), backward)
+    def backward(g, va):
+        _accum(va, g * (x >= 0))
+
+    return _make(np.maximum(x, 0), (a,), backward)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    one, s = a.data.dtype.type(1), a.data.dtype.type(slope)  # a float64 factor upcasts g
+    x = a.data
+    one, s = x.dtype.type(1), x.dtype.type(slope)  # a float64 factor upcasts g
 
-    def backward(g):
-        _accum(a, g * np.where(a.data >= 0, one, s))
+    def backward(g, va):
+        _accum(va, g * np.where(x >= 0, one, s))
 
-    return _make(np.where(a.data >= 0, a.data, a.data * s), (a,), backward)
+    return _make(np.where(x >= 0, x, x * s), (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
-    def backward(g):
-        _accum(a, g * (1.0 - y * y))
+    def backward(g, va):
+        _accum(va, g * (1.0 - y * y))
 
     return _make(y, (a,), backward)
 
@@ -189,19 +257,21 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g)))
+    shape, dtype = a.shape, a.dtype
 
-    return _make(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
+    def backward(g, va):
+        _accum(va, np.full(shape, float(g), dtype=dtype))
+
+    return _make(np.asarray(a.data.sum(), dtype=dtype), (a,), backward)
 
 
 def reduce_mean(a: Tensor) -> Tensor:
-    n = a.data.size
+    shape, dtype, n = a.shape, a.dtype, a.data.size
 
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
+    def backward(g, va):
+        _accum(va, np.full(shape, float(g) / n, dtype=dtype))
 
-    return _make(np.asarray(a.data.mean(), dtype=a.data.dtype), (a,), backward)
+    return _make(np.asarray(a.data.mean(), dtype=dtype), (a,), backward)
 
 
 def abs_mean(a: Tensor, b: Tensor) -> Tensor:
@@ -210,10 +280,10 @@ def abs_mean(a: Tensor, b: Tensor) -> Tensor:
     d = a.data - b.data
     n = d.size
 
-    def backward(g):
+    def backward(g, va, vb):
         ga = np.sign(d) * (float(g) / n)
-        _accum(a, ga)
-        _accum(b, -ga)
+        _accum(va, ga)
+        _accum(vb, -ga)
 
     return _make(np.asarray(np.abs(d).mean(), dtype=d.dtype), (a, b), backward)
 
@@ -224,10 +294,10 @@ def square_mean(a: Tensor, b: Tensor) -> Tensor:
     d = a.data - b.data
     n = d.size
 
-    def backward(g):
+    def backward(g, va, vb):
         ga = d * (2.0 * float(g) / n)
-        _accum(a, ga)
-        _accum(b, -ga)
+        _accum(va, ga)
+        _accum(vb, -ga)
 
     return _make(np.asarray((d * d).mean(), dtype=d.dtype), (a, b), backward)
 
@@ -237,20 +307,20 @@ def square_mean(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
+    shape_in = a.shape
 
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
+    def backward(g, va):
+        _accum(va, g.reshape(shape_in))
 
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _make(a.data.reshape(tuple(shape)), (a,), backward)
 
 
 def transpose2d(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose2d expects a matrix, got shape {a.shape}")
 
-    def backward(g):
-        _accum(a, g.T)
+    def backward(g, va):
+        _accum(va, g.T)
 
     return _make(np.ascontiguousarray(a.data.T), (a,), backward)
 
@@ -261,12 +331,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
     _operands("matmul", a, b)
+    x, y = a.data, b.data
 
-    def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+    def backward(g, va, vb):
+        _accum(va, g @ y.T)
+        _accum(vb, x.T @ g)
 
-    return _make(a.data @ b.data, (a, b), backward)
+    return _make(x @ y, (a, b), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -276,16 +347,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
         _operands("concat", tensors[0], t)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    parents = tuple(tensors)
 
-    def backward(g):
-        for t, lo, hi in zip(parents, offsets[:-1], offsets[1:]):
+    def backward(g, *vertices):
+        for v, lo, hi in zip(vertices, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
+            _accum(v, g[tuple(idx)])
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents, backward)
+                 tensors, backward)
 
 
 def row_l2_normalize(a: Tensor) -> Tensor:
@@ -297,9 +367,9 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     safe = np.where(nonzero, norms, 1.0)
     y = a.data / safe
 
-    def backward(g):
+    def backward(g, va):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, np.where(nonzero, (g - y * dot) / safe, 0.0))
+        _accum(va, np.where(nonzero, (g - y * dot) / safe, 0.0))
 
     return _make(y, (a,), backward)
 
@@ -359,8 +429,8 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
     p = padding
     if mode == "zero":
 
-        def backward(g):
-            _accum(a, g[:, :, p:p + H, p:p + W])
+        def backward(g, va):
+            _accum(va, g[:, :, p:p + H, p:p + W])
 
     else:
         if p >= H or p >= W:
@@ -368,8 +438,8 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
                 f"pad2d reflect: padding {p} too large for spatial size {H}x{W}"
             )
 
-        def backward(g):
-            _accum(a, _reflect_fold(g, p, H, W))
+        def backward(g, va):
+            _accum(va, _reflect_fold(g, p, H, W))
 
     return _make(_pad(a.data, p, mode), (a,), backward)
 
@@ -549,33 +619,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     oh = (H - kh) // stride + 1
     ow = (W - kw) // stride + 1
 
-    # the weight gradient is taken when the weight required one at forward time
-    grad_w = weight.requires_grad
+    w = weight.data
     flip = stride == 1 and O < I  # the transposed conv of the flipped kernel
     if flip:
-        wf = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         full = _adjoint(xp.data, wf, 1, H + kh - 1, W + kw - 1)
         out_data = full[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow]
     else:
-        out_data = _correlate(xp.data, weight.data.reshape(O, -1), kh, kw, stride, oh, ow)
+        out_data = _correlate(xp.data, w.reshape(O, -1), kh, kw, stride, oh, ow)
     out_data = _add_bias("conv2d", out_data, weight, bias)
     fold = xp._backward_fn if xp is not x else None  # the pad node's, or None
     del xp  # its data leaves with it; backward pads x again
+    xd = x.data if weight.requires_grad else None  # read by the weight gradient only
 
-    def backward(g):
-        if grad_w:
-            xpd = _pad(x.data, padding, pad_mode) if padding else x.data
+    def backward(g, vx, vw, vb=None):
+        if vw is not None:
+            xpd = _pad(xd, padding, pad_mode) if padding else xd
             if flip:  # conv_transpose2d's weight gradient, roles swapped
                 dwf = _weight_grad(xpd, _embed(g, kh - 1, kw - 1), kh, kw, 1, (I, O, kh, kw))
-                _accum(weight, dwf.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+                _accum(vw, dwf.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
             else:
-                _accum(weight, _weight_grad(g, xpd, kh, kw, stride, weight.shape))
+                _accum(vw, _weight_grad(g, xpd, kh, kw, stride, w.shape))
             del xpd  # before _adjoint allocates
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            dxp = _adjoint(g, weight.data, stride, H, W)
-            fold(dxp) if fold else _accum(x, dxp)
+        if vb is not None:
+            _accum(vb, g.sum(axis=(0, 2, 3)))
+        if vx is not None:
+            dxp = _adjoint(g, w, stride, H, W)
+            fold(dxp) if fold else _accum(vx, dxp)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)
@@ -600,18 +670,21 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv_transpose2d: non-positive output size {out_h}x{out_w}")
     Hb = max((H - 1) * stride + kh, p + out_h)
     Wb = max((W - 1) * stride + kw, p + out_w)
-    buf = _adjoint(x.data, weight.data, stride, Hb, Wb)
+    w = weight.data
+    buf = _adjoint(x.data, w, stride, Hb, Wb)
     out_data = _add_bias("conv_transpose2d", buf[:, :, p:p + out_h, p:p + out_w],
                          weight, bias)
+    xd = x.data if weight.requires_grad else None  # read by the weight gradient only
 
-    def backward(g):
+    def backward(g, vx, vw, vb=None):
         # the windows read only the natural extent, which the embedding covers
         ge = _embed(g, p, p)
-        if weight.requires_grad:
-            _accum(weight, _weight_grad(x.data, ge, kh, kw, stride, weight.shape))
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-        _accum(x, _correlate(ge, weight.data.reshape(I, -1), kh, kw, stride, H, W))
+        if vw is not None:
+            _accum(vw, _weight_grad(xd, ge, kh, kw, stride, w.shape))
+        if vb is not None:
+            _accum(vb, g.sum(axis=(0, 2, 3)))
+        if vx is not None:
+            _accum(vx, _correlate(ge, w.reshape(I, -1), kh, kw, stride, H, W))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)
@@ -633,13 +706,13 @@ def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     inv_std = 1.0 / np.sqrt(np.add.reduce(y * y, axis=axes, keepdims=True) / n + eps)
     y *= inv_std
 
-    def backward(g):
+    def backward(g, vx):
         t = g * y
         np.multiply(y, np.add.reduce(t, axis=axes, keepdims=True) / n, out=t)
         np.subtract(g, t, out=t)
         t -= np.add.reduce(g, axis=axes, keepdims=True) / n
         t *= inv_std
-        _accum(x, t)
+        _accum(vx, t)
 
     return _make(y, (x,), backward)
 

@@ -1,0 +1,115 @@
+"""The autodiff graph keeps only the arrays a backward reads, and an operand
+gets a gradient from an op only if it required one when the op ran."""
+
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from srdistill import tensor as T
+from srdistill.losses import semrel_matrix, similarity_loss, sp_loss
+from srdistill.tensor import Tensor
+from test_tensor import _pad_adjoint, conv2d_grads_loops, conv2d_loops
+
+# (output channels, stride) for 3 input channels: the gathered forward, the
+# flipped kernel's scatter (O < I at stride 1) and a strided gather
+_CONVS = pytest.mark.parametrize("co, stride", [(5, 1), (2, 1), (4, 2)],
+                                 ids=["gather", "flipped_kernel", "stride2"])
+
+
+def _instance_norm_grad(x, g, eps=1e-5):
+    """d sum(instance_norm(x) * g) / dx from each (n, c) map's moments."""
+    axes = (2, 3)
+    std = np.sqrt(x.var(axis=axes, keepdims=True) + eps)
+    y = (x - x.mean(axis=axes, keepdims=True)) / std
+    return (g - g.mean(axis=axes, keepdims=True)
+            - y * (g * y).mean(axis=axes, keepdims=True)) / std
+
+
+@_CONVS
+def test_a_conv_output_only_instance_norm_reads_is_freed(co, stride):
+    rng = np.random.default_rng(0)
+    x, w, b = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(co, 3, 3, 3)), rng.normal(size=co)
+    xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+    h = T.conv2d(xt, wt, bt, stride=stride, padding=1, pad_mode="reflect")
+    held = weakref.ref(h.data)
+    y = T.instance_norm(h)
+    del h
+    assert held() is None
+    assert y._parents[0].data.nbytes == 0  # what a graph-size count sees of it
+    g = rng.normal(size=y.shape)
+    T.reduce_sum(T.mul(y, Tensor(g))).backward()
+
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+    dh = _instance_norm_grad(conv2d_loops(xp, w, b, stride, 0), g)
+    dxp, dw = conv2d_grads_loops(xp, w, dh, stride)
+    assert np.max(np.abs(xt.grad - _pad_adjoint(dxp, 1, "reflect", 7, 6))) < 1e-12
+    assert np.max(np.abs(wt.grad - dw)) < 1e-12
+    assert np.max(np.abs(bt.grad - dh.sum(axis=(0, 2, 3)))) < 1e-12
+
+
+@_CONVS
+def test_a_conv_with_a_frozen_weight_keeps_no_reference_to_its_input(co, stride):
+    rng = np.random.default_rng(1)
+    x0 = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
+    w = rng.normal(size=(co, 3, 3, 3))
+    h = T.relu(x0)  # relu keeps its own input, not h
+    held = weakref.ref(h.data)
+    out = T.conv2d(h, Tensor(w), stride=stride, padding=1)
+    del h
+    assert held() is None
+    g = rng.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+
+    xp = np.pad(np.maximum(x0.data, 0), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dxp, _ = conv2d_grads_loops(xp, w, g, stride)
+    assert np.max(np.abs(x0.grad - dxp[:, :, 1:-1, 1:-1] * (x0.data >= 0))) < 1e-12
+
+
+@pytest.mark.parametrize("op", ["add", "abs_mean", "similarity_loss"])
+def test_a_non_grad_operand_is_not_referenced_by_the_graph(op):
+    rng = np.random.default_rng(2)
+    a = Tensor(rng.normal(size=(1, 4, 5, 5)), requires_grad=True)
+    target = Tensor(rng.normal(size=(1, 4, 5, 5)))
+    held = weakref.ref(target.data)
+    if op == "similarity_loss":
+        out = similarity_loss(target, a)  # the teacher feature comes first
+    else:
+        out = getattr(T, op)(a, target)
+    del target
+    assert held() is None
+    (out if out.data.ndim == 0 else T.reduce_sum(out)).backward()
+    assert a.grad is not None and np.all(np.isfinite(a.grad))
+
+
+def test_the_composite_similarity_holds_two_p_by_p_matrices_after_forward():
+    # P = 1024, so a float64 P x P matrix is 8 MB. The graph keeps the
+    # student's normalised matrix and abs_mean's difference; the teacher's
+    # normalised matrix and the student's raw Gram are gone once it returns.
+    rng = np.random.default_rng(3)
+    t = Tensor(rng.normal(size=(1, 4, 32, 32)))
+    s = Tensor(rng.normal(size=(1, 4, 32, 32)), requires_grad=True)
+    pp = 1024 * 1024 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = sp_loss(semrel_matrix(t.detach()), semrel_matrix(s))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 1.9 * pp < held < 2.5 * pp, f"{held / pp:.2f} P x P matrices"
+    loss.backward()
+    assert s.grad.shape == s.shape and np.all(np.isfinite(s.grad))
+
+
+def test_an_operand_switched_to_requires_grad_after_the_op_gets_no_gradient():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]))
+    c = T.mul(a, b)
+    b.requires_grad = True
+    T.reduce_sum(c).backward()
+    assert np.array_equal(a.grad, [3.0, 4.0])
+    assert b.grad is None
+    T.reduce_sum(T.mul(a, b)).backward()  # an op run after the switch
+    assert np.array_equal(b.grad, [1.0, 2.0])

@@ -131,6 +131,23 @@ def test_save_and_load_hold_no_whole_file_copy(tmp_path):
     assert [a.tobytes() for _, a in _items(loaded)] == [a.tobytes() for _, a in _items(g)]
 
 
+def test_float64_load_converts_each_array_as_it_is_placed(tmp_path):
+    # the float64 parameters are 2x the checkpoint; holding every decoded
+    # float32 array until the last is placed would peak at 3x
+    g = build_generator(GeneratorSpec("resnet", 16, resolution=64),
+                        np.random.default_rng(0), dtype=np.float32)
+    path = tmp_path / "g.ckpt"
+    save_model(path, g)
+    tracemalloc.start()
+    try:
+        loaded, peak = _peak_bytes(lambda: load_model(path, dtype=np.float64))
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * path.stat().st_size
+    for (_, a), (_, want) in zip(_items(loaded), _items(g)):
+        assert a.dtype == np.float64 and np.array_equal(a, want)
+
+
 @pytest.mark.parametrize("dims", [(1,) * 70, (0, 2**31, 2**31)],
                          ids=["rank_over_64", "empty_but_too_big"])
 @pytest.mark.parametrize("reader", ["read_tensor", "read_checkpoint", "load_model"])

@@ -14,6 +14,7 @@ generators' tanh output; the inverse rounds back to the exact input bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,8 +57,8 @@ class UnpairedDatasetSpec:
             raise ValueError("stripe_period must be >= 2")
         if not 0.0 <= self.stripe_contrast <= 1.0:
             raise ValueError("stripe_contrast must be in [0, 1]")
-        if self.noise < 0.0:
-            raise ValueError("noise must be >= 0")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -78,8 +79,8 @@ class PairedDatasetSpec:
             raise ValueError(f"resolution must be >= 32, got {self.resolution}")
         if self.train_samples < 1 or self.test_samples < 0:
             raise ValueError("need at least one training sample")
-        if self.noise < 0.0:
-            raise ValueError("noise must be >= 0")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -367,6 +368,8 @@ def tensor_to_image(t: np.ndarray) -> np.ndarray:
 # split's directory, an (H, W, 3) image if `suffix` ends in ".ppm", else (H, W).
 _UNPAIRED_PARTS = (".ppm", "_mask.pgm")
 _PAIRED_PARTS = ("_label.pgm", "_photo.ppm")
+# the largest value a file of each part may hold
+_PART_MAX = {".ppm": 255, "_photo.ppm": 255, "_mask.pgm": 1, "_label.pgm": len(PALETTE) - 1}
 _UNPAIRED_SPLITS = {"trainA": "train_a", "trainB": "train_b",
                     "testA": "test_a", "testB": "test_b"}
 
@@ -385,8 +388,8 @@ def _write_split(d: Path, suffixes, parts) -> None:
 
 
 def _read_split(d: Path, suffixes, count: int, res: int):
-    """The first part's files in `d` in name order, one per sample, and each
-    part's (count, res, res[, 3]) stack; a CodecError names the sample."""
+    """Each part's (count, res, res[, 3]) stack of the samples in `d`, in the
+    name order of their first part's files; a CodecError names the sample."""
     firsts = sorted(d.glob(f"*{suffixes[0]}"))
     if len(firsts) != count:
         raise CodecError(f"{d}: {len(firsts)} *{suffixes[0]} files, the manifest says {count}")
@@ -404,9 +407,12 @@ def _read_split(d: Path, suffixes, count: int, res: int):
                 raise CodecError(f"{first}: {path}: {exc.strerror}") from None
             if arr.shape != shape:
                 raise CodecError(f"{first}: {path}: shape {arr.shape}, expected {shape}")
+            if arr.max(initial=0) > _PART_MAX[suffix]:
+                raise CodecError(f"{first}: {path}: value {arr.max()} above "
+                                 f"{_PART_MAX[suffix]}, the largest a *{suffix} file holds")
             out.append(arr)
-    return firsts, [np.array(out, dtype=np.uint8).reshape(count, *shape)
-                    for out, shape in zip(parts, shapes)]
+    return [np.array(out, dtype=np.uint8).reshape(count, *shape)
+            for out, shape in zip(parts, shapes)]
 
 
 def _read_spec(root: Path, kinds: dict[str, type]):
@@ -434,7 +440,7 @@ def load_unpaired(root) -> tuple[UnpairedDatasetSpec, UnpairedDataset]:
     fields = {}
     for name, field in _UNPAIRED_SPLITS.items():
         count = spec.train_samples if name.startswith("train") else spec.test_samples
-        _, (fields[field], fields["mask_" + field]) = _read_split(
+        fields[field], fields["mask_" + field] = _read_split(
             root / name, _UNPAIRED_PARTS, count, spec.resolution)
     return spec, UnpairedDataset(**fields)
 
@@ -452,12 +458,7 @@ def load_paired(root) -> tuple[PairedDatasetSpec, list[PairedSample], list[Paire
     spec = _read_spec(root, {"paired": PairedDatasetSpec})
     res, splits = spec.resolution, []
     for name, count in (("train", spec.train_samples), ("test", spec.test_samples)):
-        firsts, (labels, photos) = _read_split(root / name, _PAIRED_PARTS, count, res)
-        samples = []
-        for first, label, photo in zip(firsts, labels, photos):
-            try:
-                samples.append(PairedSample(label, photo, label.copy()))
-            except ValueError as e:
-                raise CodecError(f"{first}: {e}") from None
-        splits.append(samples)
+        labels, photos = _read_split(root / name, _PAIRED_PARTS, count, res)
+        splits.append([PairedSample(label, photo, label.copy())
+                       for label, photo in zip(labels, photos)])
     return spec, splits[0], splits[1]

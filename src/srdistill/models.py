@@ -19,7 +19,13 @@ Parameter-free layers (norm, activations) are one class, ``Pointwise``.
 Conventions that pin the parameter counts: instance norm carries no
 learnable affine, every convolution carries a bias, the stem / residual /
 head convolutions use reflection padding while all stride-2 convolutions
-use zero padding. Weights are initialized N(0, 0.02), biases zero.
+use zero padding.
+
+Build and load share one path, ``_build(spec, param)``: every layer takes
+its parameters, in ``named_params`` order, from ``param(shape, init_std)``.
+``build_model``'s source draws weights N(0, 0.02) from an RNG and gives zero
+biases without a draw. ``load_model``'s hands out a checkpoint's records in
+order, so they must be in ``named_params`` order, as ``save_model`` writes.
 
 FLOP accounting counts 2*MACs over convolutions and matmuls only
 (transposed convolutions counted input-centric); normalization and
@@ -29,7 +35,6 @@ activations are ignored, so only ratios between models are meaningful.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -104,16 +109,12 @@ MODEL_KINDS = {"resnet": GeneratorSpec, "unet": GeneratorSpec,
 
 class Conv2d:
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
-                 padding: int = 0, pad_mode: str = "zero", *,
-                 rng: np.random.Generator, dtype=np.float64):
+                 padding: int = 0, pad_mode: str = "zero", *, param):
         self.stride = stride
         self.padding = padding
         self.pad_mode = pad_mode
-        self.weight = Tensor(
-            rng.normal(0.0, WEIGHT_STD, (out_ch, in_ch, kernel, kernel))
-            .astype(dtype, copy=False),
-            requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
+        self.weight = param((out_ch, in_ch, kernel, kernel), WEIGHT_STD)
+        self.bias = param((out_ch,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride,
@@ -132,16 +133,12 @@ class Conv2d:
 
 class ConvTranspose2d:
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
-                 padding: int = 0, output_padding: int = 0, *,
-                 rng: np.random.Generator, dtype=np.float64):
+                 padding: int = 0, output_padding: int = 0, *, param):
         self.stride = stride
         self.padding = padding
         self.output_padding = output_padding
-        self.weight = Tensor(
-            rng.normal(0.0, WEIGHT_STD, (in_ch, out_ch, kernel, kernel))
-            .astype(dtype, copy=False),
-            requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
+        self.weight = param((in_ch, out_ch, kernel, kernel), WEIGHT_STD)
+        self.bias = param((out_ch,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv_transpose2d(x, self.weight, self.bias, stride=self.stride,
@@ -183,12 +180,12 @@ class Pointwise:
 class ResBlock:
     """conv-norm-relu-conv-norm with an identity skip; reflection padding."""
 
-    def __init__(self, channels: int, *, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, channels: int, *, param):
         self.conv1 = Conv2d(channels, channels, 3, padding=1, pad_mode="reflect",
-                            rng=rng, dtype=dtype)
+                            param=param)
         self.norm1 = Pointwise("instance_norm")
         self.conv2 = Conv2d(channels, channels, 3, padding=1, pad_mode="reflect",
-                            rng=rng, dtype=dtype)
+                            param=param)
         self.norm2 = Pointwise("instance_norm")
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -219,11 +216,16 @@ class Model:
     """
 
     def __init__(self, stages: list[tuple[str, list]], default_tap: str | None,
-                 manifest: dict[str, str], skips: dict[str, str] | None = None):
+                 spec: GeneratorSpec | DiscriminatorSpec,
+                 skips: dict[str, str] | None = None):
         self._stages = stages
         self.default_tap = default_tap
-        self.manifest = manifest
+        self.spec = spec
         self._skips = skips or {}
+
+    @property
+    def manifest(self) -> dict[str, str]:
+        return self.spec.manifest()
 
     @property
     def taps(self) -> list[str]:
@@ -311,16 +313,34 @@ def _concat(skip: Tensor, h: Tensor) -> Tensor:
 # builders
 
 
-def build_generator(spec: GeneratorSpec, rng: np.random.Generator | None = None,
-                    dtype=np.float64) -> Model:
+def build_model(spec: GeneratorSpec | DiscriminatorSpec,
+                rng: np.random.Generator | None = None, dtype=np.float64) -> Model:
+    """A fresh model: weights drawn N(0, WEIGHT_STD) from `rng`, biases zero."""
     if rng is None:
         rng = np.random.default_rng(0)
+
+    def param(shape, std):
+        # a zero bias draws nothing, so the stream stays the weights' alone
+        data = (rng.normal(0.0, std, shape).astype(dtype, copy=False) if std
+                else np.zeros(shape, dtype=dtype))
+        return Tensor(data, requires_grad=True)
+
+    return _build(spec, param)
+
+
+build_generator = build_discriminator = build_model
+
+
+def _build(spec: GeneratorSpec | DiscriminatorSpec, param) -> Model:
+    """The model of `spec`, each parameter Tensor from `param(shape, init_std)`."""
+    if isinstance(spec, DiscriminatorSpec):
+        return _build_patchgan(spec, param)
     if spec.kind == "resnet":
-        return _build_resnet_generator(spec, rng, dtype)
-    return _build_unet_generator(spec, rng, dtype)
+        return _build_resnet_generator(spec, param)
+    return _build_unet_generator(spec, param)
 
 
-def _build_resnet_generator(spec: GeneratorSpec, rng, dtype) -> Model:
+def _build_resnet_generator(spec: GeneratorSpec, param) -> Model:
     ngf = spec.ngf
 
     def with_norm_relu(conv) -> list:
@@ -328,28 +348,26 @@ def _build_resnet_generator(spec: GeneratorSpec, rng, dtype) -> Model:
 
     stages: list[tuple[str, list]] = [
         ("stem", with_norm_relu(Conv2d(spec.in_channels, ngf, 7, padding=3,
-                                       pad_mode="reflect", rng=rng, dtype=dtype))),
+                                       pad_mode="reflect", param=param))),
         ("down1", with_norm_relu(Conv2d(ngf, 2 * ngf, 3, stride=2, padding=1,
-                                        rng=rng, dtype=dtype))),
+                                        param=param))),
         ("down2", with_norm_relu(Conv2d(2 * ngf, 4 * ngf, 3, stride=2, padding=1,
-                                        rng=rng, dtype=dtype))),
+                                        param=param))),
     ]
     for b in range(1, spec.n_blocks + 1):
-        stages.append((f"res{b}", [ResBlock(4 * ngf, rng=rng, dtype=dtype)]))
+        stages.append((f"res{b}", [ResBlock(4 * ngf, param=param)]))
     stages += [
-        ("up1", with_norm_relu(ConvTranspose2d(4 * ngf, 2 * ngf, 3, stride=2,
-                                               padding=1, output_padding=1,
-                                               rng=rng, dtype=dtype))),
-        ("up2", with_norm_relu(ConvTranspose2d(2 * ngf, ngf, 3, stride=2,
-                                               padding=1, output_padding=1,
-                                               rng=rng, dtype=dtype))),
+        ("up1", with_norm_relu(ConvTranspose2d(4 * ngf, 2 * ngf, 3, stride=2, padding=1,
+                                               output_padding=1, param=param))),
+        ("up2", with_norm_relu(ConvTranspose2d(2 * ngf, ngf, 3, stride=2, padding=1,
+                                               output_padding=1, param=param))),
         ("head", [Conv2d(ngf, spec.out_channels, 7, padding=3, pad_mode="reflect",
-                         rng=rng, dtype=dtype), Pointwise("tanh")]),
+                         param=param), Pointwise("tanh")]),
     ]
-    return Model(stages, default_tap=f"res{spec.n_blocks}", manifest=spec.manifest())
+    return Model(stages, default_tap=f"res{spec.n_blocks}", spec=spec)
 
 
-def _build_unet_generator(spec: GeneratorSpec, rng, dtype) -> Model:
+def _build_unet_generator(spec: GeneratorSpec, param) -> Model:
     ngf = spec.ngf
     # channels out of down stage k, at index k
     down_ch = [spec.in_channels, ngf, 2 * ngf, 4 * ngf] + [8 * ngf] * 5
@@ -357,7 +375,7 @@ def _build_unet_generator(spec: GeneratorSpec, rng, dtype) -> Model:
     for k in range(1, 9):
         layers: list = [Pointwise("leaky_relu", 0.2)] if k > 1 else []
         layers.append(Conv2d(down_ch[k - 1], down_ch[k], 4, stride=2, padding=1,
-                             rng=rng, dtype=dtype))
+                             param=param))
         if 1 < k < 8:
             layers.append(Pointwise("instance_norm"))
         stages.append((f"down{k}", layers))
@@ -368,41 +386,28 @@ def _build_unet_generator(spec: GeneratorSpec, rng, dtype) -> Model:
         out_ch = down_ch[k - 1] if k > 1 else spec.out_channels
         stages.append((f"up{k}", [
             Pointwise("relu"),
-            ConvTranspose2d(in_ch, out_ch, 4, stride=2, padding=1, rng=rng,
-                            dtype=dtype),
+            ConvTranspose2d(in_ch, out_ch, 4, stride=2, padding=1, param=param),
             Pointwise("instance_norm" if k > 1 else "tanh")]))
     skips = {f"up{k}": f"down{k - 1}" for k in range(2, 9)}
-    return Model(stages, default_tap="down3", manifest=spec.manifest(), skips=skips)
+    return Model(stages, default_tap="down3", spec=spec, skips=skips)
 
 
-def build_discriminator(spec: DiscriminatorSpec, rng: np.random.Generator | None = None,
-                        dtype=np.float64) -> Model:
+def _build_patchgan(spec: DiscriminatorSpec, param) -> Model:
     """4x4-kernel patch discriminator emitting a grid of real/fake scores."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     ndf = spec.ndf
     stages: list[tuple[str, list]] = [
-        ("layer0", [Conv2d(spec.in_channels, ndf, 4, stride=2, padding=1,
-                           rng=rng, dtype=dtype), Pointwise("leaky_relu", 0.2)]),
+        ("layer0", [Conv2d(spec.in_channels, ndf, 4, stride=2, padding=1, param=param),
+                    Pointwise("leaky_relu", 0.2)]),
     ]
     mult = 1
     for i in range(1, spec.n_layers + 1):
         prev, mult = mult, min(2 ** i, 8)
         stride = 2 if i < spec.n_layers else 1
         stages.append((f"layer{i}", [
-            Conv2d(ndf * prev, ndf * mult, 4, stride=stride, padding=1, rng=rng,
-                   dtype=dtype),
+            Conv2d(ndf * prev, ndf * mult, 4, stride=stride, padding=1, param=param),
             Pointwise("instance_norm"), Pointwise("leaky_relu", 0.2)]))
-    stages.append(("head", [Conv2d(ndf * mult, 1, 4, stride=1, padding=1,
-                                   rng=rng, dtype=dtype)]))
-    return Model(stages, default_tap=None, manifest=spec.manifest())
-
-
-def build_model(spec: GeneratorSpec | DiscriminatorSpec,
-                rng: np.random.Generator | None = None, dtype=np.float64) -> Model:
-    if isinstance(spec, GeneratorSpec):
-        return build_generator(spec, rng, dtype)
-    return build_discriminator(spec, rng, dtype)
+    stages.append(("head", [Conv2d(ndf * mult, 1, 4, stride=1, padding=1, param=param)]))
+    return Model(stages, default_tap=None, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +423,7 @@ def count_params(model: Model) -> int:
 
 def count_flops(model: Model, resolution: int) -> int:
     """2*MACs over convolutions/matmuls at the given input resolution."""
-    in_ch = decode_spec(model.manifest, MODEL_KINDS).in_channels
-    return 2 * model.count_macs((1, in_ch, resolution, resolution))
+    return 2 * model.count_macs((1, model.spec.in_channels, resolution, resolution))
 
 
 def save_model(path, model: Model) -> None:
@@ -427,52 +431,39 @@ def save_model(path, model: Model) -> None:
                      [(n, t.data) for n, t in model.named_params()])
 
 
-class _NoDraws:
-    """Stands in for the RNG of a skeleton whose weights are all replaced.
-
-    Its ``normal`` draws nothing and allocates nothing: it returns a
-    read-only, zero-strided view of one value of the skeleton's dtype, which
-    the layers keep without a copy until ``load_model`` puts the decoded
-    array in its place. So a load holds the checkpoint's values once, not
-    once more for the skeleton. It hands out at most the `budget` values the
-    checkpoint stores, so a manifest naming a model larger than its
-    checkpoint is a CodecError.
-    """
-
-    def __init__(self, dtype, budget: int):
-        self.dtype = dtype
-        self.budget = budget
-
-    def normal(self, loc, scale, size):
-        self.budget -= math.prod(size)
-        if self.budget < 0:
-            raise CodecError("the manifest's model has more weights than "
-                             "the checkpoint stores")
-        return np.broadcast_to(np.empty((), dtype=self.dtype), size)
-
-
 def load_model(path, dtype=np.float32) -> Model:
-    """Rebuild a model from a checkpoint; parameters load as float32 values."""
+    """Rebuild a model from a checkpoint, its parameters as `dtype` arrays.
+
+    The records must be the model's ``named_params``, in that order. The
+    build takes each parameter from the next record after checking its
+    shape, so a manifest naming a model larger than its checkpoint fails
+    before any weight is allocated, and each decoded array is dropped as it
+    is placed. Any fault is a CodecError naming `path`.
+    """
     try:
-        manifest, params = read_checkpoint(path)
+        manifest, records = read_checkpoint(path)
         spec = decode_spec(manifest, MODEL_KINDS)
-        model = build_model(spec, _NoDraws(dtype, sum(a.size for _, a in params)),
-                            dtype=dtype)
+        names = [n for n, _ in records]
+        records.reverse()  # popped from the end, in record order
+
+        def param(shape, std):
+            if not records:
+                raise CodecError(f"the checkpoint stores {len(names)} records, and "
+                                 f"the manifest's model has more parameters")
+            name, arr = records.pop()
+            if arr.shape != shape:
+                raise CodecError(f"{name}: checkpoint shape {arr.shape} vs model {shape}")
+            return Tensor(arr.astype(dtype, copy=False), requires_grad=True)
+
+        model = _build(spec, param)
+        expected = [n for n, _ in model.named_params()]
+        if names != expected:
+            i, got, want = next((i, a, b) for i, (a, b)
+                                in enumerate(zip(names, expected + [None])) if a != b)
+            raise CodecError(f"checkpoint record {i} is {got!r}, where the model has "
+                             + (repr(want) if want else f"only {i} parameters"))
     except CodecError as exc:
         raise CodecError(f"{path}: {exc}") from None
-    stored = dict(params)
-    del params  # each decoded array is dropped as it is placed, not at return
-    expected = [n for n, _ in model.named_params()]
-    missing = [n for n in expected if n not in stored]
-    extra = [n for n in stored if n not in expected]
-    if missing or extra:
-        raise CodecError(f"{path}: checkpoint mismatch: missing {missing}, extra {extra}")
-    for name, t in model.named_params():
-        arr = stored.pop(name)
-        if arr.shape != t.shape:
-            raise CodecError(f"{path}: {name}: checkpoint shape {arr.shape} "
-                             f"vs model {t.shape}")
-        t.data = arr.astype(dtype, copy=False)  # the decoder's own copy
     return model
 
 

@@ -415,6 +415,22 @@ def test_dataset_spec_rejects_a_negative_seed(cls):
         cls(seed=-1)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("cls", [UnpairedDatasetSpec, PairedDatasetSpec])
+def test_dataset_spec_rejects_noise_that_is_not_finite_and_at_least_zero(cls, noise):
+    with pytest.raises(ValueError, match="noise"):
+        cls(noise=noise)
+
+
+@pytest.mark.parametrize("value", [2, 7, 255])
+def test_unpaired_mask_value_above_one_is_a_codec_error(tmp_path, value):
+    spec = UnpairedDatasetSpec(resolution=16, train_samples=1, test_samples=0)
+    save_unpaired(tmp_path, spec, gen_unpaired(spec))
+    write_pgm(tmp_path / "trainA" / "0000_mask.pgm", np.full((16, 16), value, np.uint8))
+    with pytest.raises(CodecError, match="trainA/0000_mask.pgm"):
+        load_unpaired(tmp_path)
+
+
 @pytest.mark.parametrize("write, img", [
     (write_pgm, np.array([[300, -1], [2.7, 255]])),
     (write_pgm, np.array([[1, 2]], dtype=np.int64)),

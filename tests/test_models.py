@@ -138,6 +138,21 @@ def test_build_is_deterministic_per_seed():
     assert params_digest(a.named_params()) != params_digest(c.named_params())
 
 
+# sha256 of each fixed-seed float32 build, as the draws were first made: the
+# draw order, weight by weight, must not change
+@pytest.mark.parametrize("spec, seed, digest", [
+    (GeneratorSpec("resnet", 4, 2, resolution=16), 7,
+     "15d8f9d3a16249634b5c9afd0fc92c5b62425a1149231cd6e03756fbd08cf570"),
+    (GeneratorSpec("unet", 2, resolution=256), 8,
+     "2285b3514fe80c2cbd43bb9b5f63de5d0d349bebb6a3801ee17b38600cfcc929"),
+    (DiscriminatorSpec(ndf=4, n_layers=2, in_channels=6), 9,
+     "54f627260f0d66ea881fd1b2f29bfd282bb456906a98288d5ea54516ca2426fe"),
+], ids=["resnet", "unet", "patchgan"])
+def test_fixed_seed_builds_are_pinned(spec, seed, digest):
+    model = build_model(spec, np.random.default_rng(seed), dtype=np.float32)
+    assert params_digest(model.named_params()) == digest
+
+
 def test_save_load_round_trip(tmp_path):
     spec = GeneratorSpec("resnet", 4, 2, resolution=16)
     g = build_generator(spec, np.random.default_rng(7), dtype=np.float32)
@@ -194,6 +209,28 @@ def test_checkpoint_the_model_rejects_is_a_codec_error_naming_the_file(tmp_path,
     write_checkpoint(path, manifest, items)
     with pytest.raises(CodecError, match="bad.ckpt"):
         load_model(path)
+
+
+@pytest.mark.parametrize("fault, culprit", [
+    ("extra", "'extra.weight'"),
+    ("swapped", "'res1.0.conv2.weight', where the model has 'res1.0.conv1.weight'"),
+], ids=["extra", "swapped"])
+def test_checkpoint_records_not_the_models_named_params_are_a_codec_error(
+        tmp_path, fault, culprit):
+    g = build_generator(GeneratorSpec("resnet", 4, 1, resolution=16), dtype=np.float32)
+    items = [(n, t.data) for n, t in g.named_params()]
+    if fault == "extra":
+        items.append(("extra.weight", items[0][1]))
+    else:
+        # two records of one shape, in each other's place: the names tell
+        names = [n for n, _ in items]
+        i, j = names.index("res1.0.conv1.weight"), names.index("res1.0.conv2.weight")
+        items[i], items[j] = items[j], items[i]
+    path = tmp_path / "bad.ckpt"
+    write_checkpoint(path, g.manifest, items)
+    with pytest.raises(CodecError, match="bad.ckpt") as exc:
+        load_model(path)
+    assert culprit in str(exc.value)
 
 
 def test_discriminator_round_trip(tmp_path):

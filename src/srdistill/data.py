@@ -271,7 +271,8 @@ def write_pgm(path, img: np.ndarray) -> None:
     _write_netpbm(path, b"P5", img)
 
 
-def _read_netpbm(path) -> tuple[bytes, np.ndarray]:
+def read_image(path) -> np.ndarray:
+    """A binary PPM (H, W, 3) or PGM (H, W) file's uint8 pixels."""
     raw = Path(path).read_bytes()
     magic = raw[:2]
     if magic not in (b"P5", b"P6"):
@@ -315,25 +316,7 @@ def _read_netpbm(path) -> tuple[bytes, np.ndarray]:
         raise CodecError(f"{path}: payload expected {expected} bytes, "
                          f"got {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8)
-    return magic, arr.reshape((h, w, 3) if channels == 3 else (h, w))
-
-
-def read_ppm(path) -> np.ndarray:
-    magic, arr = _read_netpbm(path)
-    if magic != b"P6":
-        raise CodecError(f"{path}: expected P6 color image, found {magic!r}")
-    return arr
-
-
-def read_pgm(path) -> np.ndarray:
-    magic, arr = _read_netpbm(path)
-    if magic != b"P5":
-        raise CodecError(f"{path}: expected P5 gray image, found {magic!r}")
-    return arr
-
-
-def read_image(path) -> np.ndarray:
-    return _read_netpbm(path)[1]
+    return arr.reshape((h, w, 3) if channels == 3 else (h, w))
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,24 @@
-"""Binary codecs: SRDT tensor files and named-parameter checkpoints.
-
-Tensor payload layout: magic ``SRDT``, u32 version (=1), u32 rank,
-u32 dims[rank], then little-endian float32 values in row-major order.
-All multi-byte integers are little-endian. Values are stored as float32
-regardless of the in-memory dtype.
+"""Binary codecs: named-parameter checkpoints and spec manifests.
 
 A checkpoint is one length-prefixed UTF-8 manifest (key=value lines
 describing the architecture spec, in the ``config`` format) followed by a
-sequence of (u32 name length, name bytes, SRDT tensor payload) records
-with distinct names.
+sequence of (u32 name length, name bytes, SRDT record) records with
+distinct names. All multi-byte integers are little-endian.
 
-There is one codec, and it works over a binary stream. The encoder yields
-the manifest, then each record's header, then a view of each tensor's
-float32 values; the file writers write these chunks one by one, so no
-whole-file buffer is made. The decoder checks each size from a header
-against the bytes left in the stream before it allocates, and reads each
-payload straight into a fresh, aligned array of its own. The bytes API is
-that codec: ``*_to_bytes`` joins the encoder's chunks and ``*_from_bytes``
-runs the decoder over an ``io.BytesIO``.
+An SRDT record is one tensor: magic ``SRDT``, u32 version (=1), u32 rank,
+u32 dims[rank], then little-endian float32 values in row-major order.
+Values are stored as float32 regardless of the in-memory dtype.
+
+There is one codec, and it works over a binary stream. The encoder first
+checks every name and shape, so that a checkpoint its decoder would refuse
+is a CodecError before any chunk is made. It then yields the manifest, each
+record's header, and a view of each tensor's float32 values; the file
+writer writes these chunks one by one, so no whole-file buffer is made.
+The decoder checks each size from a header against the bytes left in the
+stream before it allocates, and reads each payload straight into a fresh,
+aligned array of its own. The bytes API is that codec:
+``checkpoint_to_bytes`` joins the encoder's chunks and
+``checkpoint_from_bytes`` runs the decoder over an ``io.BytesIO``.
 
 Specs (model architectures, datasets) travel as key=value manifests made
 by one codec, ``encode_spec``/``decode_spec``. The first key is ``kind``;
@@ -54,17 +55,6 @@ class CodecError(ValueError):
     """Malformed or truncated serialized data."""
 
 
-def tensor_to_bytes(arr: np.ndarray) -> bytes:
-    return b"".join(_tensor_chunks(arr))
-
-
-def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one tensor record; returns (array, offset past the record)."""
-    f = io.BytesIO(buf)
-    f.seek(offset)
-    return _decode_tensor(_Stream(f)), f.tell()
-
-
 def _decode(raw: bytes, what: str) -> str:
     try:
         return raw.decode()
@@ -73,25 +63,20 @@ def _decode(raw: bytes, what: str) -> str:
                          f"at byte {exc.start}") from None
 
 
+def _encode(text: str, what: str) -> bytes:
+    try:
+        return text.encode()
+    except UnicodeEncodeError as exc:
+        raise CodecError(f"{what} cannot be encoded as UTF-8: {exc.reason} "
+                         f"at index {exc.start}") from None
+
+
 def manifest_from_bytes(raw: bytes, what: str) -> dict[str, str]:
     """Decode a key=value manifest; bad UTF-8 or a bad line is a CodecError."""
     try:
         return parse_config_text(_decode(raw, what))
     except ConfigError as exc:
         raise CodecError(f"{what}: {exc}") from None
-
-
-def write_tensor(path: str | Path, arr: np.ndarray) -> None:
-    _atomic_write(path, _tensor_chunks(arr))
-
-
-def read_tensor(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        stream = _Stream(f)
-        arr = _decode_tensor(stream)
-    if stream.left:
-        raise CodecError(f"{path}: {stream.left} trailing bytes after tensor")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +116,22 @@ def _tensor_chunks(arr: np.ndarray) -> Iterator[bytes | memoryview]:
 
 def _checkpoint_chunks(manifest: dict[str, str],
                        params: list[tuple[str, np.ndarray]]) -> Iterator[bytes | memoryview]:
-    """The manifest, then each parameter's name record and SRDT record."""
+    """The manifest, then each parameter's name record and SRDT record. A
+    checkpoint the decoder would refuse is a CodecError before the first chunk."""
     try:
-        lines = format_config(manifest).encode()
+        lines = _encode(format_config(manifest), "checkpoint manifest")
     except ConfigError as exc:
         raise CodecError(f"checkpoint manifest: {exc}") from None
-    yield struct.pack("<I", len(lines)) + lines
+    names: dict[str, bytes] = {}
     for name, arr in params:
-        nb = name.encode()
+        if name in names:
+            raise CodecError(f"repeated parameter name {name!r}")
+        if max(np.shape(arr), default=0) >= 2**32:
+            raise CodecError(f"parameter {name!r}: shape {np.shape(arr)} has a dim "
+                             f"past the u32 an SRDT record holds")
+        names[name] = _encode(name, "parameter name")
+    yield struct.pack("<I", len(lines)) + lines
+    for nb, (_, arr) in zip(names.values(), params):
         yield struct.pack("<I", len(nb)) + nb
         yield from _tensor_chunks(arr)
 
@@ -287,7 +280,7 @@ def _atomic_write(path: str | Path, chunks: Iterable[bytes | memoryview]) -> Non
     # write-temp-then-rename so concurrent readers never see partial files.
     # The temp name is unique and O_EXCL never opens an existing file; unlike
     # tempfile.mkstemp (mode 0600), mode 0666 lets the umask set permissions.
-    # The first chunk is made before the temp file: a manifest the encoder
+    # The first chunk is made before the temp file: a checkpoint the encoder
     # rejects leaves nothing behind.
     chunks = iter(chunks)
     first = next(chunks, b"")

@@ -26,8 +26,7 @@ at exactly 0, the gradient of ``|x|`` at 0 is 0.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -343,8 +342,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     if not tensors:
         raise ShapeError("concat of an empty sequence")
+    first = tensors[0].shape
+    if not -len(first) <= axis < len(first):
+        raise ShapeError(f"concat: axis {axis} is out of range for shape {first}")
+    axis %= len(first)
+    rest = first[:axis] + first[axis + 1:]
     for t in tensors[1:]:
         _operands("concat", tensors[0], t)
+        if len(t.shape) != len(first) or t.shape[:axis] + t.shape[axis + 1:] != rest:
+            raise ShapeError(f"concat: operand shape {t.shape} differs from {first} "
+                             f"off axis {axis}")
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -715,74 +722,3 @@ def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
         _accum(vx, t)
 
     return _make(y, (x,), backward)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradReport:
-    """Analytic-vs-finite-difference comparison for a set of probed tensors."""
-
-    tol: float
-    max_rel_err: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def worst(self) -> float:
-        return max(self.max_rel_err.values(), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.worst < self.tol
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"GradReport({status}, worst={self.worst:.3e}, tol={self.tol:.0e})"
-
-
-def _rel_err(a: np.ndarray, n: np.ndarray) -> float:
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-    return float((np.abs(a - n) / denom).max())
-
-
-def grad_check_many(fn: Callable[[], Tensor], probes: Mapping[str, Tensor],
-                    step: float = 1e-5, tol: float = 1e-4) -> GradReport:
-    """Compare analytic gradients of ``fn()`` against central differences.
-
-    ``fn`` is re-evaluated with each probed element perturbed in place, so it
-    must rebuild its graph from the probe tensors' current data every call.
-    """
-    for t in probes.values():
-        t.requires_grad = True
-        t.grad = None
-    loss = fn()
-    loss.backward()
-    analytic = {}
-    for name, t in probes.items():
-        if t.grad is None:
-            analytic[name] = np.zeros_like(t.data)
-        else:
-            analytic[name] = t.grad.copy()
-        t.grad = None
-
-    report = GradReport(tol=tol)
-    for name, t in probes.items():
-        flat = t.data.reshape(-1)
-        numeric = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = float(fn().data)
-            flat[i] = orig - step
-            fm = float(fn().data)
-            flat[i] = orig
-            numeric[i] = (fp - fm) / (2.0 * step)
-        report.max_rel_err[name] = _rel_err(analytic[name].reshape(-1), numeric)
-    return report
-
-
-def grad_check(fn: Callable[[Tensor], Tensor], x: Tensor,
-               step: float = 1e-5, tol: float = 1e-4) -> GradReport:
-    """Gradient check of a Tensor -> scalar function at input ``x``."""
-    return grad_check_many(lambda: fn(x), {"input": x}, step=step, tol=tol)

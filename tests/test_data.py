@@ -15,8 +15,6 @@ from srdistill.data import (
     load_paired,
     load_unpaired,
     read_image,
-    read_pgm,
-    read_ppm,
     save_paired,
     save_unpaired,
     tensor_to_image,
@@ -124,7 +122,6 @@ def test_ppm_round_trip(tmp_path):
     img = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
     p = tmp_path / "x.ppm"
     write_ppm(p, img)
-    assert np.array_equal(read_ppm(p), img)
     assert np.array_equal(read_image(p), img)
 
 
@@ -133,13 +130,13 @@ def test_pgm_round_trip(tmp_path):
     img = rng.integers(0, 256, (4, 6), dtype=np.uint8)
     p = tmp_path / "m.pgm"
     write_pgm(p, img)
-    assert np.array_equal(read_pgm(p), img)
+    assert np.array_equal(read_image(p), img)
 
 
 def test_header_comments_are_skipped(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# made by hand\n3 2\n255\n" + bytes(6))
-    assert read_pgm(p).shape == (2, 3)
+    assert read_image(p).shape == (2, 3)
 
 
 def test_truncated_payload_names_byte_counts(tmp_path):
@@ -147,7 +144,7 @@ def test_truncated_payload_names_byte_counts(tmp_path):
     write_ppm(p, np.zeros((4, 4, 3), dtype=np.uint8))
     p.write_bytes(p.read_bytes()[:-10])
     with pytest.raises(CodecError) as exc:
-        read_ppm(p)
+        read_image(p)
     assert "48" in str(exc.value) and "38" in str(exc.value)
 
 
@@ -158,7 +155,7 @@ def test_bad_magic_and_maxval_rejected(tmp_path):
         read_image(p)
     p.write_bytes(b"P5\n1 1\n65535\n\0\0")
     with pytest.raises(CodecError):
-        read_pgm(p)
+        read_image(p)
 
 
 @pytest.mark.parametrize("magic, fields, nbytes, name", [
@@ -182,13 +179,6 @@ def test_header_number_too_long_for_int_is_a_codec_error(tmp_path):
     p.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n" + bytes(4))
     with pytest.raises(CodecError, match="digits"):
         read_image(p)
-
-
-def test_wrong_format_for_reader(tmp_path):
-    p = tmp_path / "m.pgm"
-    write_pgm(p, np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(CodecError):
-        read_ppm(p)
 
 
 def test_tensor_mapping_endpoints():
@@ -331,6 +321,7 @@ def test_unpaired_without_test_samples_round_trips(tmp_path):
     ("empty_domain", "testA"),
     ("small_image", "0001.ppm"),
     ("small_mask", "0001_mask.pgm"),
+    ("gray_image", "0001.ppm"),
 ])
 def test_malformed_unpaired_domain_is_a_codec_error(tmp_path, fault, culprit):
     spec = UnpairedDatasetSpec(train_samples=2, test_samples=1)
@@ -340,6 +331,8 @@ def test_malformed_unpaired_domain_is_a_codec_error(tmp_path, fault, culprit):
             f.unlink()
     elif fault == "small_image":
         write_ppm(tmp_path / "trainA" / culprit, np.zeros((16, 16, 3), np.uint8))
+    elif fault == "gray_image":  # a PGM where a PPM belongs, at the manifest's size
+        write_pgm(tmp_path / "trainA" / culprit, np.zeros((32, 32), np.uint8))
     else:
         write_pgm(tmp_path / "trainB" / culprit, np.zeros((16, 16), np.uint8))
     with pytest.raises(CodecError, match=culprit):

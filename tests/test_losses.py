@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gradsuite
 from srdistill import losses as L
 from srdistill import tensor as T
 from srdistill.losses import (
@@ -141,7 +142,7 @@ def test_sp_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     teacher = semrel_matrix(Tensor(rng.normal(size=(1, 6, 3, 3))))
     feat = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
-    report = T.grad_check_many(
+    report = gradsuite.grad_check_many(
         lambda: sp_loss(teacher, semrel_matrix(feat)), {"feat": feat})
     assert report.passed, report.max_rel_err
 

@@ -1,4 +1,4 @@
-"""Tensor codec and checkpoint round-trip tests."""
+"""Checkpoint codec tests: the SRDT record, round trips, and manifests."""
 
 import math
 import struct
@@ -17,17 +17,28 @@ from srdistill.serialize import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     read_checkpoint,
-    read_tensor,
-    tensor_from_bytes,
-    tensor_to_bytes,
     write_checkpoint,
-    write_tensor,
 )
+
+
+# a one-record checkpoint's bytes before its SRDT record: an empty manifest, then the name "t"
+_PREFIX = struct.pack("<II", 0, 1) + b"t"
+
+
+def _record_bytes(arr) -> bytes:
+    buf = checkpoint_to_bytes({}, [("t", arr)])
+    assert buf.startswith(_PREFIX)
+    return buf[len(_PREFIX):]
+
+
+def _decode_record(record: bytes) -> np.ndarray:
+    [(_, arr)] = checkpoint_from_bytes(_PREFIX + record)[1]
+    return arr
 
 
 def test_header_layout():
     arr = np.zeros((2, 3), dtype=np.float32)
-    buf = tensor_to_bytes(arr)
+    buf = _record_bytes(arr)
     assert buf[:4] == MAGIC
     assert int.from_bytes(buf[4:8], "little") == 1  # version
     assert int.from_bytes(buf[8:12], "little") == 2  # rank
@@ -41,8 +52,7 @@ def test_header_layout():
 def test_tensor_round_trip(dims):
     rng = np.random.default_rng(sum(dims) + len(dims))
     arr = rng.normal(size=tuple(dims)).astype(np.float64)
-    back, end = tensor_from_bytes(tensor_to_bytes(arr))
-    assert end == len(tensor_to_bytes(arr))
+    back = _decode_record(_record_bytes(arr))
     assert back.dtype == np.float32
     assert back.shape == arr.shape
     assert np.array_equal(back, arr.astype(np.float32))
@@ -51,36 +61,36 @@ def test_tensor_round_trip(dims):
 def test_float32_payload_is_exact_for_float32_input():
     rng = np.random.default_rng(0)
     arr = rng.normal(size=(4, 4)).astype(np.float32)
-    back, _ = tensor_from_bytes(tensor_to_bytes(arr))
-    assert np.array_equal(back, arr)
+    assert np.array_equal(_decode_record(_record_bytes(arr)), arr)
 
 
 def test_bad_magic_rejected():
-    buf = b"XXXX" + tensor_to_bytes(np.zeros(3))[4:]
+    buf = b"XXXX" + _record_bytes(np.zeros(3))[4:]
     with pytest.raises(CodecError):
-        tensor_from_bytes(buf)
+        _decode_record(buf)
 
 
 def test_truncated_payload_names_byte_counts():
-    buf = tensor_to_bytes(np.ones((2, 2), dtype=np.float32))
+    buf = _record_bytes(np.ones((2, 2), dtype=np.float32))
     with pytest.raises(CodecError) as exc:
-        tensor_from_bytes(buf[:-3])
+        _decode_record(buf[:-3])
     msg = str(exc.value)
     assert "16" in msg and "13" in msg  # expected vs available payload bytes
 
 
-def test_tensor_file_round_trip(tmp_path):
-    path = tmp_path / "t.srdt"
+def test_one_record_file_round_trip(tmp_path):
+    path = tmp_path / "t.ckpt"
     arr = np.arange(12, dtype=np.float32).reshape(3, 4)
-    write_tensor(path, arr)
-    assert np.array_equal(read_tensor(path), arr)
+    write_checkpoint(path, {}, [("t", arr)])
+    [(_, back)] = read_checkpoint(path)[1]
+    assert np.array_equal(back, arr)
 
 
-def test_trailing_bytes_rejected(tmp_path):
-    path = tmp_path / "t.srdt"
-    path.write_bytes(tensor_to_bytes(np.zeros(2)) + b"junk")
+def test_bytes_after_the_last_record_are_rejected(tmp_path):
+    path = tmp_path / "t.ckpt"
+    path.write_bytes(checkpoint_to_bytes({}, [("t", np.zeros(2))]) + b"junk")
     with pytest.raises(CodecError):
-        read_tensor(path)
+        read_checkpoint(path)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -110,25 +120,25 @@ def test_checkpoint_truncation_rejected():
 
 
 def test_write_is_atomic_replace(tmp_path):
-    path = tmp_path / "t.srdt"
-    write_tensor(path, np.zeros(2, dtype=np.float32))
-    write_tensor(path, np.ones(3, dtype=np.float32))
-    assert np.array_equal(read_tensor(path), np.ones(3, dtype=np.float32))
+    path = tmp_path / "t.ckpt"
+    write_checkpoint(path, {}, [("t", np.zeros(2, dtype=np.float32))])
+    write_checkpoint(path, {}, [("t", np.ones(3, dtype=np.float32))])
+    assert np.array_equal(read_checkpoint(path)[1][0][1], np.ones(3, dtype=np.float32))
     assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
 
 
 def test_rank_beyond_the_buffer_is_a_codec_error():
     with pytest.raises(CodecError):
-        tensor_from_bytes(MAGIC + struct.pack("<II", 1, 10 ** 6))
+        _decode_record(MAGIC + struct.pack("<II", 1, 10 ** 6))
     with pytest.raises(CodecError):
-        tensor_from_bytes(MAGIC + struct.pack("<I", 1))  # header cut short
+        _decode_record(MAGIC + struct.pack("<I", 1))  # header cut short
 
 
 def test_dims_whose_product_overflows_int64_are_a_codec_error():
     # 65536**4 == 2**64 wraps to 0 in int64 arithmetic
     buf = MAGIC + struct.pack("<II4I", 1, 4, *(65536,) * 4)
     with pytest.raises(CodecError):
-        tensor_from_bytes(buf)
+        _decode_record(buf)
 
 
 @pytest.mark.parametrize("dims", [(1,) * 70, (0, 2**31, 2**31)],
@@ -136,7 +146,7 @@ def test_dims_whose_product_overflows_int64_are_a_codec_error():
 def test_dims_numpy_cannot_shape_are_a_codec_error(dims):
     buf = MAGIC + struct.pack(f"<II{len(dims)}I", 1, len(dims), *dims)
     with pytest.raises(CodecError, match=f"rank-{len(dims)}"):
-        tensor_from_bytes(buf + bytes(4 * math.prod(dims)))
+        _decode_record(buf + bytes(4 * math.prod(dims)))
 
 
 def test_non_utf8_manifest_is_a_codec_error():
@@ -173,10 +183,9 @@ def test_repeated_key_in_a_config_text_is_rejected():
 
 
 def test_repeated_parameter_name_is_a_codec_error():
-    w = np.zeros(1, dtype=np.float32)
-    buf = checkpoint_to_bytes({}, [("w", w), ("w", w)])
-    with pytest.raises(CodecError):
-        checkpoint_from_bytes(buf)
+    record = checkpoint_to_bytes({}, [("w", np.zeros(1, dtype=np.float32))])[4:]
+    with pytest.raises(CodecError, match="repeated parameter name 'w'"):
+        checkpoint_from_bytes(struct.pack("<I", 0) + record + record)
 
 
 @pytest.mark.parametrize("manifest", [
@@ -200,19 +209,19 @@ def test_manifest_values_may_hold_equals_and_hash():
 
 
 def test_write_leaves_an_unrelated_tmp_file_alone(tmp_path):
-    path = tmp_path / "t.srdt"
-    other = tmp_path / "t.srdt.tmp"
+    path = tmp_path / "t.ckpt"
+    other = tmp_path / "t.ckpt.tmp"
     other.write_bytes(b"someone else's")
-    write_tensor(path, np.ones(2, dtype=np.float32))
+    write_checkpoint(path, {}, [("t", np.ones(2, dtype=np.float32))])
     assert other.read_bytes() == b"someone else's"
     assert sorted(tmp_path.iterdir()) == [path, other]
 
 
 def test_failed_write_removes_its_temp_file(tmp_path):
-    target = tmp_path / "t.srdt"
+    target = tmp_path / "t.ckpt"
     target.mkdir()  # renaming a file over a directory fails
     with pytest.raises(OSError):
-        write_tensor(target, np.ones(2, dtype=np.float32))
+        write_checkpoint(target, {}, [("t", np.ones(2, dtype=np.float32))])
     assert list(tmp_path.iterdir()) == [target]
 
 

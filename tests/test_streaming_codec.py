@@ -25,11 +25,7 @@ from srdistill.serialize import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     read_checkpoint,
-    read_tensor,
-    tensor_from_bytes,
-    tensor_to_bytes,
     write_checkpoint,
-    write_tensor,
 )
 
 
@@ -71,18 +67,17 @@ _TENSORS = {
 
 
 @pytest.mark.parametrize("name", _TENSORS)
-def test_written_tensor_file_equals_the_bytes_encoding(tmp_path, name):
+def test_written_record_equals_the_bytes_encoding(tmp_path, name):
     arr = _TENSORS[name]
-    path = tmp_path / "t.srdt"
-    write_tensor(path, arr)
+    path = tmp_path / "t.ckpt"
+    write_checkpoint(path, {}, [("t", arr)])
     raw = path.read_bytes()
-    assert raw == tensor_to_bytes(arr)
-    assert raw[:12] == MAGIC + struct.pack("<II", 1, arr.ndim)
-    assert raw[12 + 4 * arr.ndim:] == arr.astype("<f4").tobytes()
+    assert raw == checkpoint_to_bytes({}, [("t", arr)])
+    # an empty manifest and the name "t" take the 9 bytes before the record
+    assert raw[:21] == struct.pack("<II", 0, 1) + b"t" + MAGIC + struct.pack("<II", 1, arr.ndim)
+    assert raw[21 + 4 * arr.ndim:] == arr.astype("<f4").tobytes()
 
-    from_file, (from_bytes, end) = read_tensor(path), tensor_from_bytes(raw)
-    assert end == len(raw)
-    for got in (from_file, from_bytes):
+    for _, [(_, got)] in (read_checkpoint(path), checkpoint_from_bytes(raw)):
         assert got.shape == arr.shape and got.dtype == np.float32
         assert got.tobytes() == arr.astype("<f4").tobytes()
 
@@ -150,19 +145,15 @@ def test_float64_load_converts_each_array_as_it_is_placed(tmp_path):
 
 @pytest.mark.parametrize("dims", [(1,) * 70, (0, 2**31, 2**31)],
                          ids=["rank_over_64", "empty_but_too_big"])
-@pytest.mark.parametrize("reader", ["read_tensor", "read_checkpoint", "load_model"])
-def test_dims_numpy_cannot_shape_are_a_codec_error_on_every_file_path(tmp_path, dims, reader):
+@pytest.mark.parametrize("read", [read_checkpoint, load_model],
+                         ids=["read_checkpoint", "load_model"])
+def test_dims_numpy_cannot_shape_are_a_codec_error_on_every_file_path(tmp_path, dims, read):
     record = (MAGIC + struct.pack(f"<II{len(dims)}I", 1, len(dims), *dims)
               + bytes(4 * int(np.prod(dims))))
     path = tmp_path / "bad"
-    if reader == "read_tensor":
-        path.write_bytes(record)
-        read = read_tensor
-    else:
-        g = _small_generator()
-        good = checkpoint_to_bytes(g.manifest, _items(g)[:1])
-        path.write_bytes(good + struct.pack("<I", 1) + b"x" + record)
-        read = read_checkpoint if reader == "read_checkpoint" else load_model
+    g = _small_generator()
+    good = checkpoint_to_bytes(g.manifest, _items(g)[:1])
+    path.write_bytes(good + struct.pack("<I", 1) + b"x" + record)
     with pytest.raises(CodecError, match=f"rank-{len(dims)}"):
         read(path)
 
@@ -175,18 +166,29 @@ class _ShortReads(io.BytesIO):
 
 
 def test_a_short_read_is_a_codec_error():
-    raw = tensor_to_bytes(np.ones((4, 4), dtype=np.float32))
+    raw = checkpoint_to_bytes({}, [("t", np.ones((4, 4), dtype=np.float32))])
     with pytest.raises(CodecError, match="short read of tensor payload: expected 64 bytes, got 32"):
-        serialize._decode_tensor(serialize._Stream(_ShortReads(raw)))
+        serialize._decode_checkpoint(serialize._Stream(_ShortReads(raw)))
 
 
-def test_a_rejected_manifest_raises_before_the_temp_file_is_made(tmp_path, monkeypatch):
+# each checkpoint here is one the decoder would refuse, or one a record cannot hold
+@pytest.mark.parametrize("manifest, params, match", [
+    ({"#k": "v"}, [("w", np.zeros(2, dtype=np.float32))], "checkpoint manifest"),
+    ({"kind": "x"}, [("w", np.zeros(2)), ("w", np.zeros(2))], "repeated parameter name 'w'"),
+    ({"kind": "\udc80"}, [], "checkpoint manifest cannot be encoded"),
+    ({}, [("\udc80", np.zeros(2))], "parameter name cannot be encoded"),
+    ({}, [("w", np.zeros((0, 2**32), dtype=np.float32))], "parameter 'w'"),
+], ids=["unreadable_manifest", "repeated_name", "surrogate_in_manifest",
+        "surrogate_in_name", "dim_past_u32"])
+def test_a_rejected_checkpoint_raises_before_the_temp_file_is_made(tmp_path, monkeypatch,
+                                                                   manifest, params, match):
     opened = []
     real_open = serialize.os.open
     monkeypatch.setattr(serialize.os, "open", lambda *a: opened.append(a) or real_open(*a))
-    with pytest.raises(CodecError, match="checkpoint manifest"):
-        write_checkpoint(tmp_path / "m.ckpt", {"#k": "v"},
-                         [("w", np.zeros(2, dtype=np.float32))])
+    with pytest.raises(CodecError, match=match):
+        write_checkpoint(tmp_path / "m.ckpt", manifest, params)
+    with pytest.raises(CodecError, match=match):
+        checkpoint_to_bytes(manifest, params)
     assert opened == []
     assert list(tmp_path.iterdir()) == []
 

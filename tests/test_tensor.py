@@ -684,6 +684,17 @@ def test_shape_errors():
         T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
 
 
+@pytest.mark.parametrize("shapes, axis", [
+    (((2, 2), (3, 2)), 1),
+    (((2, 2), (2,)), 1),
+    (((2, 2), (2, 2)), 2),
+    (((2, 2), (2, 2)), -3),
+], ids=["other_dim_differs", "rank_differs", "axis_past_rank", "axis_before_rank"])
+def test_concat_shape_faults_are_shape_errors(shapes, axis):
+    with pytest.raises(ShapeError, match="concat"):
+        T.concat([Tensor(np.ones(s)) for s in shapes], axis=axis)
+
+
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "abs_mean", "square_mean",
                                 "matmul", "concat", "conv2d", "conv_bias"])
 def test_mixed_dtypes_are_rejected(op):
@@ -752,7 +763,7 @@ def test_gradients_match_finite_differences(op):
 
 def test_grad_check_passes_on_smooth_function():
     x = Tensor(np.array([[0.3, -0.7], [1.2, 0.5]]), requires_grad=True)
-    report = T.grad_check(lambda t: T.reduce_sum(T.mul(T.tanh(t), t)), x)
+    report = gradsuite.grad_check(lambda t: T.reduce_sum(T.mul(T.tanh(t), t)), x)
     assert report.passed
     assert report.worst < 1e-6
 
@@ -760,7 +771,7 @@ def test_grad_check_passes_on_smooth_function():
 def test_grad_check_flags_corrupted_gradient():
     # forward equals 2x elementwise but backward only sees one branch
     x = Tensor(np.array([[0.5, 1.5]]), requires_grad=True)
-    report = T.grad_check(lambda t: T.reduce_sum(T.add(t, t.detach())), x)
+    report = gradsuite.grad_check(lambda t: T.reduce_sum(T.add(t, t.detach())), x)
     assert not report.passed
     assert report.worst > 0.4
 
@@ -769,7 +780,7 @@ def test_grad_check_flags_corrupted_gradient():
 # structural properties
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 1))
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(-2, 1))
 @settings(max_examples=30, deadline=None)
 def test_concat_matches_numpy(rows, cols, axis):
     rng = np.random.default_rng(rows * 17 + cols * 3 + axis)

@@ -13,9 +13,10 @@ every P x P matrix in full; they are the explicit definition. The objectives
 use ``similarity_loss``, one op that computes the same value in row blocks.
 Row normalization is row-local, and the row norms follow from C x C algebra
 (||S_i||^2 = F_i^T (F F^T) F_i), so each block of the difference matrix is one
-matrix product of the norm-scaled columns against the features. Only the
-signs of the difference are kept for backward, one byte per entry, and the
-gradient is accumulated block by block. The teacher feature is a constant
+matrix product of the norm-scaled columns against the features. The
+student gradient is formed in the forward, block by block while a block's
+signs are at hand, so backward keeps no P x P array, only the (C, P)
+gradient, which it scales. The teacher feature is a constant
 target there: a frozen teacher builds no graph, and the op reads only its
 data and never gives it a gradient.
 
@@ -147,9 +148,10 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
     """Similarity term between NCHW teacher and student features.
 
     Per sample this is ``sp_loss(semrel_matrix(t), semrel_matrix(s))``; over
-    a batch it is the mean over samples. It holds no P x P float buffer: the
-    difference matrix is formed ``BLOCK_ELEMS // P`` rows at a time, and
-    backward keeps only its signs, as int8. The teacher feature is a constant
+    a batch it is the mean over samples. It holds no P x P buffer: the
+    difference matrix is formed ``BLOCK_ELEMS // P`` rows at a time, and when
+    the student takes a gradient each block's share of it is added at once
+    from the block's signs. The teacher feature is a constant
     target: only its ``.data`` is read, and it gets no graph and no gradient,
     even when it requires one.
     """
@@ -174,47 +176,47 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
     buf = np.empty((rows, p), dtype=dtype)
     pos = np.empty((rows, p), dtype=bool)
     neg = np.empty((rows, p), dtype=bool)
-    signs = np.empty((n, p, p), dtype=np.int8)
-    saved = []
+    signs = np.empty((rows, p), dtype=np.int8)
+    # the gradient of the sum of |A_s - A_t|, formed while a block's signs
+    # are at hand; only a student that takes a gradient needs it
+    grad = np.empty_like(fs_all) if student_feat.requires_grad else None
     total = 0.0
     for k in range(n):
-        a_s, inv_s, gram_s = _scaled_columns(fs_all[k])
+        fs = fs_all[k]
+        a_s, inv_s, gram_s = _scaled_columns(fs)
         a_t = _scaled_columns(ft_all[k])[0]
         # block rows of diag(1/r_s) S_s - diag(1/r_t) S_t in one product
         lhs = np.concatenate([a_s, -a_t]).T.copy()
-        rhs = np.concatenate([fs_all[k], ft_all[k]])
+        rhs = np.concatenate([fs, ft_all[k]])
+        if grad is not None:
+            df = np.zeros_like(fs)
+            q = np.zeros_like(gram_s)
         for blk in blocks:
             m = blk.stop - blk.start
             d = np.matmul(lhs[blk], rhs, out=buf[:m])
             # int8 signs from two comparisons: np.sign runs at half the speed
             np.subtract(np.greater(d, 0, out=pos[:m]).view(np.int8),
                         np.less(d, 0, out=neg[:m]).view(np.int8),
-                        out=signs[k, blk])
+                        out=signs[:m])
             total += float(np.abs(d, out=d).sum(axis=1).sum(dtype=np.float64))
-        saved.append((a_s, inv_s, gram_s))
-
-    def backward(g, vs):
-        # with A = diag(1/r) S, G = sign(A_s - A_t) and dot_i = G_i . A_i:
-        # dF = F (dS + dS^T), dS = diag(1/r) G - diag(dot/r^2) S
-        grad = np.empty_like(fs_all)
-        for k in range(n):
-            fs = fs_all[k]
-            a_s, inv_s, gram_s = saved[k]
-            df = np.zeros_like(fs)
-            q = np.zeros_like(gram_s)
-            for blk in blocks:
-                gb = buf[:blk.stop - blk.start]
-                np.copyto(gb, signs[k, blk])
-                hb = gb @ fs.T  # rows of G F^T
-                ab = a_s[:, blk]
-                dot = np.einsum("bc,cb->b", hb, ab)
-                df += ab @ gb
-                df[:, blk] += hb.T * inv_s[blk] - (gram_s @ ab) * (dot * inv_s[blk])
-                q += (ab * dot) @ ab.T
+            if grad is None:
+                continue
+            # with A = diag(1/r) S, G = sign(A_s - A_t) and dot_i = G_i . A_i:
+            # dF = F (dS + dS^T), dS = diag(1/r) G - diag(dot/r^2) S
+            gb = d  # |d| is summed: the buffer takes the block's signs
+            np.copyto(gb, signs[:m])
+            hb = gb @ fs.T  # rows of G F^T
+            ab = a_s[:, blk]
+            dot = np.einsum("bc,cb->b", hb, ab)
+            df += ab @ gb
+            df[:, blk] += hb.T * inv_s[blk] - (gram_s @ ab) * (dot * inv_s[blk])
+            q += (ab * dot) @ ab.T
+        if grad is not None:
             df -= q @ fs
             grad[k] = df
-        grad *= float(g) / (n * p * p)
-        T._accum(vs, grad.reshape(n, -1, h, w))
+
+    def backward(g, vs):
+        T._adopt(vs, (grad * (float(g) / (n * p * p))).reshape(n, -1, h, w))
 
     out = np.asarray(total / (n * p * p), dtype=dtype)
     return T._make(out, (student_feat,), backward)

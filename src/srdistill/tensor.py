@@ -12,12 +12,20 @@ exactly once each. Image tensors are NCHW.
 The graph keeps only the arrays a backward reads (saved tensors as in
 PyTorch, Paszke et al. 2019, arXiv 1912.01703). A closure saves relu's and
 leaky_relu's input, the operands of mul and matmul, the outputs of tanh,
-row_l2_normalize and instance_norm, the mean losses' differences, and a
-conv's input only when its weight takes a gradient; elsewhere it keeps
-shapes and dtypes. A node reaches its output only through a weakref. An
-operand gets a gradient from an op only if it required one when the op ran:
-a frozen teacher's target or a frozen discriminator's weights are no
-vertex, even if ``requires_grad`` is set later.
+row_l2_normalize and instance_norm, square_mean's difference and only the
+int8 signs of abs_mean's, and a conv's input only when its weight takes a
+gradient; elsewhere it keeps shapes and dtypes. A node reaches its output
+only through a weakref. An operand gets a gradient from an op only if it
+required one when the op ran: a frozen teacher's target or a frozen
+discriminator's weights are no vertex, even if ``requires_grad`` is set
+later.
+
+An empty grad slot adopts a gradient array that a closure built for that
+vertex alone (``_adopt``), as PyTorch's accumulation takes over a gradient
+nothing else holds. It copies (``_accum``) an array that reaches more than
+one vertex (add's g, sub's g on its first operand), a view of the incoming
+g (reshape, transpose2d, concat, pad2d's zero crop, conv2d's flipped weight
+gradient) and one of another dtype. So no two grad slots share memory.
 
 Gradient conventions at kinks: relu/leaky_relu take the positive branch
 at exactly 0, the gradient of ``|x|`` at 0 is 0.
@@ -172,6 +180,15 @@ def _accum(v, g: np.ndarray) -> None:
         v.grad += g
 
 
+def _adopt(v, g: np.ndarray) -> None:
+    """``_accum`` of a g built for v alone that nothing else holds: an empty
+    slot of g's dtype takes g itself instead of a copy."""
+    if v is not None and v.grad is None and g.dtype == v.dtype:
+        v.grad = g
+    else:
+        _accum(v, g)
+
+
 def _operands(op: str, a: Tensor, b: Tensor, shape: tuple | None = None) -> None:
     """Reject operands of two dtypes, and ``b`` not of ``shape`` when one is given."""
     if a.dtype != b.dtype:
@@ -199,7 +216,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g, va, vb):
         _accum(va, g)
-        _accum(vb, -g)
+        _adopt(vb, -g)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -209,8 +226,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
 
     def backward(g, va, vb):
-        _accum(va, g * y)
-        _accum(vb, g * x)
+        _adopt(va, g * y)
+        _adopt(vb, g * x)
 
     return _make(x * y, (a, b), backward)
 
@@ -218,7 +235,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)  # NumPy 1.x makes a 0-d float32 * float a float64
     def backward(g, va):
-        _accum(va, g * c)
+        _adopt(va, g * c)
 
     return _make(a.data * c, (a,), backward)
 
@@ -227,7 +244,7 @@ def relu(a: Tensor) -> Tensor:
     x = a.data
 
     def backward(g, va):
-        _accum(va, g * (x >= 0))
+        _adopt(va, g * (x >= 0))
 
     return _make(np.maximum(x, 0), (a,), backward)
 
@@ -237,7 +254,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     one, s = x.dtype.type(1), x.dtype.type(slope)  # a float64 factor upcasts g
 
     def backward(g, va):
-        _accum(va, g * np.where(x >= 0, one, s))
+        _adopt(va, g * np.where(x >= 0, one, s))
 
     return _make(np.where(x >= 0, x, x * s), (a,), backward)
 
@@ -246,7 +263,7 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 
     def backward(g, va):
-        _accum(va, g * (1.0 - y * y))
+        _adopt(va, g * (1.0 - y * y))
 
     return _make(y, (a,), backward)
 
@@ -259,7 +276,7 @@ def reduce_sum(a: Tensor) -> Tensor:
     shape, dtype = a.shape, a.dtype
 
     def backward(g, va):
-        _accum(va, np.full(shape, float(g), dtype=dtype))
+        _adopt(va, np.full(shape, float(g), dtype=dtype))
 
     return _make(np.asarray(a.data.sum(), dtype=dtype), (a,), backward)
 
@@ -268,7 +285,7 @@ def reduce_mean(a: Tensor) -> Tensor:
     shape, dtype, n = a.shape, a.dtype, a.data.size
 
     def backward(g, va):
-        _accum(va, np.full(shape, float(g) / n, dtype=dtype))
+        _adopt(va, np.full(shape, float(g) / n, dtype=dtype))
 
     return _make(np.asarray(a.data.mean(), dtype=dtype), (a,), backward)
 
@@ -277,14 +294,23 @@ def abs_mean(a: Tensor, b: Tensor) -> Tensor:
     """Mean absolute difference (L1). Gradient of |x| at 0 is 0."""
     _operands("abs_mean", a, b, a.shape)
     d = a.data - b.data
-    n = d.size
+    n, dtype = d.size, d.dtype
+    signs = None
+    if a.requires_grad or b.requires_grad:
+        signs = np.greater(d, 0).view(np.int8)
+        np.subtract(signs, np.less(d, 0).view(np.int8), out=signs)
+    mean = np.abs(d, out=d).mean()
+    if signs is not None and np.isnan(mean):
+        # np.sign(nan) is nan, which no int8 holds
+        signs = np.where(np.isnan(d), np.nan, signs).astype(dtype)
 
     def backward(g, va, vb):
-        ga = np.sign(d) * (float(g) / n)
-        _accum(va, ga)
-        _accum(vb, -ga)
+        c = float(g) / n
+        for v, cv in ((va, c), (vb, -c)):
+            if v is not None:
+                _adopt(v, np.multiply(signs, cv, dtype=dtype))
 
-    return _make(np.asarray(np.abs(d).mean(), dtype=d.dtype), (a, b), backward)
+    return _make(np.asarray(mean, dtype=dtype), (a, b), backward)
 
 
 def square_mean(a: Tensor, b: Tensor) -> Tensor:
@@ -295,8 +321,8 @@ def square_mean(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g, va, vb):
         ga = d * (2.0 * float(g) / n)
-        _accum(va, ga)
-        _accum(vb, -ga)
+        _adopt(va, ga)
+        _adopt(vb, -ga)
 
     return _make(np.asarray((d * d).mean(), dtype=d.dtype), (a, b), backward)
 
@@ -333,8 +359,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
 
     def backward(g, va, vb):
-        _accum(va, g @ y.T)
-        _accum(vb, x.T @ g)
+        _adopt(va, g @ y.T)
+        _adopt(vb, x.T @ g)
 
     return _make(x @ y, (a, b), backward)
 
@@ -369,16 +395,35 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     """Divide each row of a matrix by its L2 norm; all-zero rows stay zero."""
     if a.data.ndim != 2:
         raise ShapeError(f"row_l2_normalize expects a matrix, got shape {a.shape}")
-    norms = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
+    x = a.data
+    y = np.empty_like(x)
+    norms = np.sqrt(_row_dots(x, x, y))
     nonzero = norms > 0
     safe = np.where(nonzero, norms, 1.0)
-    y = a.data / safe
+    np.divide(x, safe, out=y)
 
     def backward(g, va):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(va, np.where(nonzero, (g - y * dot) / safe, 0.0))
+        out = np.empty_like(g)
+        dot = _row_dots(g, y, out)
+        np.multiply(y, dot, out=out)
+        np.subtract(g, out, out=out)
+        out /= safe
+        out[~nonzero[:, 0]] = 0.0
+        _adopt(va, out)
 
     return _make(y, (a,), backward)
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(x * y).sum(axis=1, keepdims=True), bitwise, over row blocks of BLOCK_ELEMS
+    formed in ``scratch`` (x's shape), so no full-size temporary is made."""
+    rows = max(1, BLOCK_ELEMS // max(1, x.shape[1]))
+    dots = np.empty((x.shape[0], 1), dtype=np.result_type(x, y))
+    for lo in range(0, x.shape[0], rows):
+        blk = slice(lo, lo + rows)
+        np.multiply(x[blk], y[blk], out=scratch[blk]).sum(axis=1, keepdims=True,
+                                                           out=dots[blk])
+    return dots
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +491,7 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
             )
 
         def backward(g, va):
-            _accum(va, _reflect_fold(g, p, H, W))
+            _adopt(va, _reflect_fold(g, p, H, W))
 
     return _make(_pad(a.data, p, mode), (a,), backward)
 
@@ -492,7 +537,8 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # Padding stays a pad2d call (perfbench's tracer times it inside conv2d) whose
 # backward folds conv2d's input gradient; its node and data leave the graph.
 
-# elements of one band's column matrix: 2**20, 4 MB in float32
+# elements of one band's column matrix, and of one row block of
+# row_l2_normalize: 2**20, 4 MB in float32
 BLOCK_ELEMS = 2 ** 20
 
 
@@ -579,12 +625,18 @@ def _weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
     N, O, oh, ow = g.shape
     pitch, bands = _bands(x, kh, kw, stride, oh, ow)
     gf = _widen(g, pitch)
-    dw = 0
+    dw = None
     for y0, y1, win in bands:
         # one band's columns alive at a time: with two, each call faulted its
         # bands in afresh (~2200 minor faults, 2x the time at 64 ch, 64 px)
         gb = gf[..., y0 * pitch:(y1 - 1) * pitch + ow]
-        dw = dw + (win.reshape(N, -1, gb.shape[2]) @ gb.transpose(0, 2, 1)).sum(axis=0)
+        prod = win.reshape(N, -1, gb.shape[2]) @ gb.transpose(0, 2, 1)
+        band = prod[0] if N == 1 else prod.sum(axis=0)
+        if dw is None:
+            dw = band
+        else:
+            dw += band
+        del prod, band
     return dw.T.reshape(shape)
 
 
@@ -646,13 +698,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 dwf = _weight_grad(xpd, _embed(g, kh - 1, kw - 1), kh, kw, 1, (I, O, kh, kw))
                 _accum(vw, dwf.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
             else:
-                _accum(vw, _weight_grad(g, xpd, kh, kw, stride, w.shape))
+                _adopt(vw, _weight_grad(g, xpd, kh, kw, stride, w.shape))
             del xpd  # before _adjoint allocates
         if vb is not None:
-            _accum(vb, g.sum(axis=(0, 2, 3)))
+            _adopt(vb, g.sum(axis=(0, 2, 3)))
         if vx is not None:
             dxp = _adjoint(g, w, stride, H, W)
-            fold(dxp) if fold else _accum(vx, dxp)
+            fold(dxp) if fold else _adopt(vx, dxp)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)
@@ -687,11 +739,11 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         # the windows read only the natural extent, which the embedding covers
         ge = _embed(g, p, p)
         if vw is not None:
-            _accum(vw, _weight_grad(xd, ge, kh, kw, stride, w.shape))
+            _adopt(vw, _weight_grad(xd, ge, kh, kw, stride, w.shape))
         if vb is not None:
-            _accum(vb, g.sum(axis=(0, 2, 3)))
+            _adopt(vb, g.sum(axis=(0, 2, 3)))
         if vx is not None:
-            _accum(vx, _correlate(ge, w.reshape(I, -1), kh, kw, stride, H, W))
+            _adopt(vx, _correlate(ge, w.reshape(I, -1), kh, kw, stride, H, W))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)
@@ -719,6 +771,6 @@ def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
         np.subtract(g, t, out=t)
         t -= np.add.reduce(g, axis=axes, keepdims=True) / n
         t *= inv_std
-        _accum(vx, t)
+        _adopt(vx, t)
 
     return _make(y, (x,), backward)

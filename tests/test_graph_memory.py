@@ -83,10 +83,11 @@ def test_a_non_grad_operand_is_not_referenced_by_the_graph(op):
     assert a.grad is not None and np.all(np.isfinite(a.grad))
 
 
-def test_the_composite_similarity_holds_two_p_by_p_matrices_after_forward():
+def test_the_composite_similarity_holds_one_p_by_p_matrix_and_its_signs_after_forward():
     # P = 1024, so a float64 P x P matrix is 8 MB. The graph keeps the
-    # student's normalised matrix and abs_mean's difference; the teacher's
-    # normalised matrix and the student's raw Gram are gone once it returns.
+    # student's normalised matrix and abs_mean's int8 signs (1/8 of one); the
+    # teacher's normalised matrix, the student's raw Gram and the difference
+    # are gone once it returns.
     rng = np.random.default_rng(3)
     t = Tensor(rng.normal(size=(1, 4, 32, 32)))
     s = Tensor(rng.normal(size=(1, 4, 32, 32)), requires_grad=True)
@@ -98,7 +99,7 @@ def test_the_composite_similarity_holds_two_p_by_p_matrices_after_forward():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert 1.9 * pp < held < 2.5 * pp, f"{held / pp:.2f} P x P matrices"
+    assert 1.1 * pp < held < 1.2 * pp, f"{held / pp:.2f} P x P matrices"
     loss.backward()
     assert s.grad.shape == s.shape and np.all(np.isfinite(s.grad))
 
@@ -113,3 +114,98 @@ def test_an_operand_switched_to_requires_grad_after_the_op_gets_no_gradient():
     assert b.grad is None
     T.reduce_sum(T.mul(a, b)).backward()  # an op run after the switch
     assert np.array_equal(b.grad, [1.0, 2.0])
+
+
+def _pp_peak_and_held(run, pp):
+    """(peak, held) traced bytes of run() in units of pp, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / pp, (held - before) / pp, out
+
+
+def test_the_composite_similarity_peaks_below_three_and_a_half_p_by_p():
+    # forward: the two normalised matrices, the difference and its signs;
+    # backward: the student's matrix, the signs, its gradient and one buffer
+    rng = np.random.default_rng(3)
+    t = Tensor(rng.normal(size=(1, 4, 32, 32)))
+    s = Tensor(rng.normal(size=(1, 4, 32, 32)), requires_grad=True)
+
+    def run():
+        sp_loss(semrel_matrix(t.detach()), semrel_matrix(s)).backward()
+
+    peak, _, _ = _pp_peak_and_held(run, 1024 * 1024 * 8)
+    assert peak <= 3.5, f"{peak:.2f} P x P matrices at the peak"
+
+
+def test_the_fused_similarity_holds_no_p_by_p_buffer_after_forward():
+    # P = 4096 in float32: one P x P int8 array would be 16 MB
+    rng = np.random.default_rng(4)
+    t = Tensor(rng.normal(size=(1, 8, 64, 64)).astype(np.float32))
+    s = Tensor(rng.normal(size=(1, 8, 64, 64)).astype(np.float32), requires_grad=True)
+    _, held, loss = _pp_peak_and_held(lambda: similarity_loss(t, s), 2 ** 20)
+    assert held < 1.0, f"{held:.2f} MB held after forward"
+    loss.backward()
+    oracle = Tensor(s.data, requires_grad=True)
+    sp_loss(semrel_matrix(t), semrel_matrix(oracle)).backward()
+    err = np.linalg.norm(s.grad - oracle.grad) / np.linalg.norm(oracle.grad)
+    assert err < 1e-3, err
+
+
+def _nodes(root):
+    """Every _Node reachable from root's vertex, and every leaf vertex."""
+    nodes, leaves, stack, seen = [], [], [root._node], set()
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        (leaves if isinstance(v, Tensor) else nodes).append(v)
+        stack.extend(v._parents)
+    return nodes, leaves
+
+
+def test_no_two_grad_slots_share_memory_and_a_second_walk_doubles_every_gradient():
+    # integer-valued data keep every sum exact, so two walks give exactly 2x;
+    # each op below hands one array to several vertices, or a view of its g
+    rng = np.random.default_rng(5)
+
+    def leaf(*shape):
+        return Tensor(rng.integers(-3, 4, size=shape).astype(np.float64),
+                      requires_grad=True)
+
+    def weighed(t):
+        w = Tensor(rng.integers(-2, 3, size=t.shape).astype(np.float64))
+        return T.reduce_sum(T.mul(t, w))
+
+    a, b, c = leaf(1, 2, 5, 5), leaf(1, 2, 5, 5), leaf(2, 25)
+    h = T.mul(a, b)
+    cat = T.concat([T.add(h, h), T.add(a, b)], axis=1)  # a shared node; two leaves
+    terms = [weighed(T.pad2d(cat, 1, "zero")),
+             weighed(T.pad2d(cat, 2, "reflect")),
+             weighed(T.add(T.reshape(T.sub(T.mul(b, b), a), (2, 25)),
+                           T.add(T.scale(c, 2.0), T.scale(c, 3.0))))]
+    loss = T.add(T.add(terms[0], terms[1]), terms[2])
+
+    passed = []  # every gradient a node's closure was handed
+    nodes, leaves = _nodes(loss)
+    for node in nodes:
+        def record(g, fn=node._backward_fn):
+            passed.append(g)
+            fn(g)
+        node._backward_fn = record
+
+    loss.backward()
+    slots = passed + [v.grad for v in leaves]
+    assert len(leaves) == 3 and all(v.grad is not None for v in leaves)
+    for i, x in enumerate(slots):
+        for y in slots[i + 1:]:
+            assert not np.shares_memory(x, y)
+    first = [v.grad.copy() for v in leaves]
+    loss.backward()
+    for v, g in zip(leaves, first):
+        assert np.array_equal(v.grad, 2 * g)

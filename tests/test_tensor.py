@@ -818,3 +818,35 @@ def test_pad2d_zero_embeds_input(h, w, p):
     assert out.shape == (1, 2, h + 2 * p, w + 2 * p)
     assert np.array_equal(out[:, :, p:p + h, p:p + w], x)
     assert np.sum(np.abs(out)) == pytest.approx(np.sum(np.abs(x)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grads", ["both", "a", "b"])
+def test_abs_mean_passes_nan_and_inf_differences_on(dtype, grads):
+    # a NaN difference gives a NaN loss and a NaN gradient entry (np.sign's);
+    # an infinite one gives an infinite loss and the gradient +-1/n
+    def run(a, b):
+        ta = Tensor(np.array(a, dtype=dtype), requires_grad=grads in ("both", "a"))
+        tb = Tensor(np.array(b, dtype=dtype), requires_grad=grads in ("both", "b"))
+        loss = T.abs_mean(ta, tb)
+        loss.backward()
+        assert loss.dtype == dtype
+        for t in (ta, tb):
+            assert (t.grad is not None) == t.requires_grad
+            assert t.grad is None or t.grad.dtype == dtype
+        return float(loss.data), ta.grad, tb.grad
+
+    n = dtype(1) / dtype(5)
+    loss, ga, gb = run([1.0, np.inf, -np.inf, 2.0, 0.0], [0.0, 1.0, 1.0, 2.0, 3.0])
+    assert loss == np.inf
+    expected = np.array([n, n, -n, 0.0, -n], dtype=dtype)
+    for got, sign in ((ga, 1), (gb, -1)):
+        if got is not None:
+            assert np.array_equal(got, sign * expected)
+
+    loss, ga, gb = run([1.0, np.nan, np.inf, 2.0, 0.0], [0.0, 1.0, 1.0, 2.0, 3.0])
+    assert np.isnan(loss)
+    for got, sign in ((ga, 1), (gb, -1)):
+        if got is not None:
+            assert np.isnan(got[1]) and not np.isnan(np.delete(got, 1)).any()
+            assert np.array_equal(np.delete(got, 1), sign * np.array([n, n, 0.0, -n], dtype=dtype))

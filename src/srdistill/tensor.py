@@ -25,7 +25,11 @@ vertex alone (``_adopt``), as PyTorch's accumulation takes over a gradient
 nothing else holds. It copies (``_accum``) an array that reaches more than
 one vertex (add's g, sub's g on its first operand), a view of the incoming
 g (reshape, transpose2d, concat, pad2d's zero crop, conv2d's flipped weight
-gradient) and one of another dtype. So no two grad slots share memory.
+gradient) and one of another dtype. So no two live grad slots share
+memory. The g a closure is handed is its node's own slot, which the walk
+drops right after the call, so the closure may write over it and pass it
+on: row_l2_normalize's backward does. A closure builds no gradient for an
+operand that takes none.
 
 Gradient conventions at kinks: relu/leaky_relu take the positive branch
 at exactly 0, the gradient of ``|x|`` at 0 is 0.
@@ -216,7 +220,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g, va, vb):
         _accum(va, g)
-        _adopt(vb, -g)
+        if vb is not None:
+            _adopt(vb, -g)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -226,8 +231,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
 
     def backward(g, va, vb):
-        _adopt(va, g * y)
-        _adopt(vb, g * x)
+        if va is not None:
+            _adopt(va, g * y)
+        if vb is not None:
+            _adopt(vb, g * x)
 
     return _make(x * y, (a, b), backward)
 
@@ -291,18 +298,40 @@ def reduce_mean(a: Tensor) -> Tensor:
 
 
 def abs_mean(a: Tensor, b: Tensor) -> Tensor:
-    """Mean absolute difference (L1). Gradient of |x| at 0 is 0."""
+    """Mean absolute difference (L1). Gradient of |x| at 0 is 0.
+
+    Works block by block: the difference, its int8 signs and its sum are
+    formed BLOCK_ELEMS elements at a time, and only the full signs, which
+    the backward reads, are kept. Several blocks run over the flattened
+    operands (a copy of a non-contiguous one) and add their sums in float64;
+    one block is the arrays as they are, so its loss is
+    ``np.abs(a - b).mean()`` bitwise.
+    """
     _operands("abs_mean", a, b, a.shape)
-    d = a.data - b.data
-    n, dtype = d.size, d.dtype
+    x, y = a.data, b.data
+    n, dtype, shape = x.size, x.dtype, x.shape
+    blocks = [Ellipsis]  # one block: the whole arrays, in their own layout
+    if n > BLOCK_ELEMS:
+        x, y = x.reshape(-1), y.reshape(-1)
+        blocks = [slice(lo, lo + BLOCK_ELEMS) for lo in range(0, n, BLOCK_ELEMS)]
     signs = None
     if a.requires_grad or b.requires_grad:
-        signs = np.greater(d, 0).view(np.int8)
-        np.subtract(signs, np.less(d, 0).view(np.int8), out=signs)
-    mean = np.abs(d, out=d).mean()
-    if signs is not None and np.isnan(mean):
-        # np.sign(nan) is nan, which no int8 holds
-        signs = np.where(np.isnan(d), np.nan, signs).astype(dtype)
+        signs = np.empty(x.shape, np.int8)
+    total = np.float64(0.0)
+    for blk in blocks:
+        d = x[blk] - y[blk]
+        if signs is not None:
+            s = signs[blk]
+            np.greater(d, 0, out=s.view(np.bool_))
+            np.subtract(s, np.less(d, 0).view(np.int8), out=s)
+        total += np.abs(d, out=d).sum()
+        del d  # before the next block's
+    mean = total / n
+    if signs is not None:
+        signs = signs.reshape(shape)
+        if np.isnan(mean):
+            # np.sign(nan) is nan, which no int8 holds
+            signs = np.where(np.isnan(a.data - b.data), np.nan, signs).astype(dtype)
 
     def backward(g, va, vb):
         c = float(g) / n
@@ -322,7 +351,8 @@ def square_mean(a: Tensor, b: Tensor) -> Tensor:
     def backward(g, va, vb):
         ga = d * (2.0 * float(g) / n)
         _adopt(va, ga)
-        _adopt(vb, -ga)
+        if vb is not None:
+            _adopt(vb, -ga)
 
     return _make(np.asarray((d * d).mean(), dtype=d.dtype), (a, b), backward)
 
@@ -359,8 +389,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
 
     def backward(g, va, vb):
-        _adopt(va, g @ y.T)
-        _adopt(vb, x.T @ g)
+        if va is not None:
+            _adopt(va, g @ y.T)
+        if vb is not None:
+            _adopt(vb, x.T @ g)
 
     return _make(x @ y, (a, b), backward)
 
@@ -397,33 +429,38 @@ def row_l2_normalize(a: Tensor) -> Tensor:
         raise ShapeError(f"row_l2_normalize expects a matrix, got shape {a.shape}")
     x = a.data
     y = np.empty_like(x)
-    norms = np.sqrt(_row_dots(x, x, y))
+    dots = np.empty((x.shape[0], 1), dtype=x.dtype)
+    for blk, scratch in _row_blocks(x, y):  # y is scratch until it takes the result
+        np.multiply(x[blk], x[blk], out=scratch).sum(axis=1, keepdims=True,
+                                                     out=dots[blk])
+    norms = np.sqrt(dots)
     nonzero = norms > 0
     safe = np.where(nonzero, norms, 1.0)
     np.divide(x, safe, out=y)
 
     def backward(g, va):
-        out = np.empty_like(g)
-        dot = _row_dots(g, y, out)
-        np.multiply(y, dot, out=out)
-        np.subtract(g, out, out=out)
-        out /= safe
-        out[~nonzero[:, 0]] = 0.0
-        _adopt(va, out)
+        # g is this node's own grad slot, which the walk drops after this
+        # call: the gradient is formed over it
+        for blk, scratch in _row_blocks(g):
+            gb, yb = g[blk], y[blk]
+            dot = np.multiply(gb, yb, out=scratch).sum(axis=1, keepdims=True)
+            gb -= np.multiply(yb, dot, out=scratch)
+        g /= safe
+        g[~nonzero[:, 0]] = 0.0
+        _adopt(va, g)
 
     return _make(y, (a,), backward)
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """(x * y).sum(axis=1, keepdims=True), bitwise, over row blocks of BLOCK_ELEMS
-    formed in ``scratch`` (x's shape), so no full-size temporary is made."""
-    rows = max(1, BLOCK_ELEMS // max(1, x.shape[1]))
-    dots = np.empty((x.shape[0], 1), dtype=np.result_type(x, y))
-    for lo in range(0, x.shape[0], rows):
-        blk = slice(lo, lo + rows)
-        np.multiply(x[blk], y[blk], out=scratch[blk]).sum(axis=1, keepdims=True,
-                                                           out=dots[blk])
-    return dots
+def _row_blocks(m: np.ndarray, scratch: np.ndarray | None = None):
+    """(rows, scratch) for each block of at most BLOCK_ELEMS elements of m's
+    rows (at least one row): a slice of m's rows and as many first rows of
+    ``scratch``, or of one fresh block, so no m-sized temporary is made."""
+    rows = max(1, BLOCK_ELEMS // max(1, m.shape[1]))
+    if scratch is None:
+        scratch = np.empty_like(m[:rows])
+    for lo in range(0, m.shape[0], rows):
+        yield slice(lo, lo + rows), scratch[:min(rows, m.shape[0] - lo)]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +574,8 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # Padding stays a pad2d call (perfbench's tracer times it inside conv2d) whose
 # backward folds conv2d's input gradient; its node and data leave the graph.
 
-# elements of one band's column matrix, and of one row block of
-# row_l2_normalize: 2**20, 4 MB in float32
+# elements of one band's column matrix, of one row block of
+# row_l2_normalize and of one block of abs_mean: 2**20, 4 MB in float32
 BLOCK_ELEMS = 2 ** 20
 
 

@@ -142,6 +142,64 @@ def test_the_composite_similarity_peaks_below_three_and_a_half_p_by_p():
     assert peak <= 3.5, f"{peak:.2f} P x P matrices at the peak"
 
 
+def test_the_composite_similarity_peaks_at_three_p_by_p_with_blocks_below_one(monkeypatch):
+    # blocks of 1/16 P x P (at 2**20 elements one block is the whole float64
+    # matrix at P = 1024). Forward: the teacher's matrix and the student's
+    # Gram and normalised matrix; abs_mean forms its difference in blocks.
+    # Backward: the student's matrix, the signs and its gradient, which
+    # row_l2_normalize's backward writes over and passes on.
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 2 ** 16)
+    rng = np.random.default_rng(3)
+    t = Tensor(rng.normal(size=(1, 4, 32, 32)))
+    s = Tensor(rng.normal(size=(1, 4, 32, 32)), requires_grad=True)
+    pp = 1024 * 1024 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = sp_loss(semrel_matrix(t.detach()), semrel_matrix(s))
+        forward = (tracemalloc.get_traced_memory()[1] - before) / pp
+        tracemalloc.reset_peak()
+        loss.backward()  # the peak counts what the graph held since forward
+        backward = (tracemalloc.get_traced_memory()[1] - before) / pp
+    finally:
+        tracemalloc.stop()
+    assert forward <= 3.1, f"{forward:.2f} P x P matrices at the forward peak"
+    assert backward <= 2.3, f"{backward:.2f} P x P matrices at the backward peak"
+
+
+def test_a_second_walk_through_semrel_matrix_doubles_the_leaf_gradient(monkeypatch):
+    # row_l2_normalize's backward writes over its incoming gradient, never
+    # over the normalised matrix a second walk reads again
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 2 ** 8)  # 6 rows of P = 42 a block
+    rng = np.random.default_rng(7)
+    t = Tensor(rng.normal(size=(1, 3, 6, 7)))
+    s = Tensor(rng.normal(size=(1, 3, 6, 7)), requires_grad=True)
+    s.data[0, :, 0, 0] = 0.0  # an all-zero row of the student's Gram matrix
+    loss = sp_loss(semrel_matrix(t), semrel_matrix(s))
+    loss.backward()
+    first = s.grad.copy()
+    assert np.all(np.isfinite(first)) and np.any(first != 0.0)
+    loss.backward()
+    assert np.array_equal(s.grad, 2 * first)
+
+
+@pytest.mark.parametrize("op, built", [("square_mean", 1), ("sub", 2), ("mul", 2),
+                                       ("matmul", 2)])
+def test_an_operand_without_a_gradient_gets_none_built(op, built):
+    # (op, the operand-sized arrays its backward builds for `a`): the second
+    # operand is a constant, as adversarial_loss's target. 2**20 float64
+    # elements, 8 MB an operand; reduce_sum's backward builds one of them,
+    # the incoming gradient of sub, mul and matmul.
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.normal(size=(1024, 1024)), requires_grad=True)
+    c = Tensor(rng.normal(size=(1024, 1024)))
+    out = getattr(T, op)(a, c)
+    loss = out if out.data.ndim == 0 else T.reduce_sum(out)
+    peak, _, _ = _pp_peak_and_held(loss.backward, a.data.nbytes)
+    assert peak < built + 0.5, f"{peak:.2f} operand-sized arrays at the backward peak"
+    assert a.grad is not None and c.grad is None
+
+
 def test_the_fused_similarity_holds_no_p_by_p_buffer_after_forward():
     # P = 4096 in float32: one P x P int8 array would be 16 MB
     rng = np.random.default_rng(4)

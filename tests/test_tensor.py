@@ -582,6 +582,29 @@ def test_row_l2_normalize_zero_row_gets_zero_gradient():
     assert np.any(x.grad[0] != 0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", [None, 2 ** 6], ids=["one_block", "row_blocks"])
+def test_row_l2_normalize_gradient_is_the_formula_bitwise(dtype, block, monkeypatch):
+    # (g - y * rowsum(g * y)) / |x| per row, and 0 on an all-zero row; the
+    # backward forms it over its incoming gradient, row block by row block
+    if block:
+        monkeypatch.setattr(T, "BLOCK_ELEMS", block)  # 3 rows of 20 a block
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(37, 20)).astype(dtype)
+    zero = [0, 5, 36]
+    x[zero] = 0.0
+    g = rng.normal(size=x.shape).astype(dtype)
+    xt = Tensor(x, requires_grad=True)
+    y = T.row_l2_normalize(xt)
+    T.reduce_sum(T.mul(y, Tensor(g))).backward()
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    want = g - y.data * (g * y.data).sum(axis=1, keepdims=True)
+    want /= np.where(norms > 0, norms, 1.0)
+    want[zero] = 0.0
+    assert xt.grad.dtype == dtype
+    assert np.array_equal(xt.grad, want)
+
+
 # ---------------------------------------------------------------------------
 # backward mechanics
 
@@ -821,8 +844,35 @@ def test_pad2d_zero_embeds_input(h, w, p):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_blocked_abs_mean_matches_one_block(dtype, layout, monkeypatch):
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(2, 3, 40, 33)).astype(dtype)
+    b = rng.normal(size=a.shape).astype(dtype)
+    b[..., :5] = a[..., :5]  # zero differences take a zero gradient
+    if layout == "transposed":
+        a, b = a.T, b.T
+
+    def run():
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        loss = T.abs_mean(ta, tb)
+        loss.backward()
+        assert loss.dtype == ta.grad.dtype == tb.grad.dtype == dtype
+        return float(loss.data), ta.grad, tb.grad
+
+    whole = run()
+    assert whole[0] == float(np.abs(a - b).mean())  # one block is numpy's mean
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 1000)  # 8 blocks, the last one short
+    blocked = run()
+    rtol = 1e-12 if dtype == np.float64 else 1e-6
+    assert abs(blocked[0] - whole[0]) <= rtol * whole[0]
+    assert np.array_equal(blocked[1], whole[1]) and np.array_equal(blocked[2], whole[2])
+    assert np.array_equal(whole[1], np.sign(a - b) / a.size)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("grads", ["both", "a", "b"])
-def test_abs_mean_passes_nan_and_inf_differences_on(dtype, grads):
+def test_abs_mean_passes_nan_and_inf_differences_on(dtype, grads, monkeypatch):
     # a NaN difference gives a NaN loss and a NaN gradient entry (np.sign's);
     # an infinite one gives an infinite loss and the gradient +-1/n
     def run(a, b):
@@ -837,16 +887,19 @@ def test_abs_mean_passes_nan_and_inf_differences_on(dtype, grads):
         return float(loss.data), ta.grad, tb.grad
 
     n = dtype(1) / dtype(5)
-    loss, ga, gb = run([1.0, np.inf, -np.inf, 2.0, 0.0], [0.0, 1.0, 1.0, 2.0, 3.0])
-    assert loss == np.inf
-    expected = np.array([n, n, -n, 0.0, -n], dtype=dtype)
-    for got, sign in ((ga, 1), (gb, -1)):
-        if got is not None:
-            assert np.array_equal(got, sign * expected)
+    for block in (T.BLOCK_ELEMS, 2):  # one block, then blocks of 2 elements
+        monkeypatch.setattr(T, "BLOCK_ELEMS", block)
+        loss, ga, gb = run([1.0, np.inf, -np.inf, 2.0, 0.0], [0.0, 1.0, 1.0, 2.0, 3.0])
+        assert loss == np.inf
+        expected = np.array([n, n, -n, 0.0, -n], dtype=dtype)
+        for got, sign in ((ga, 1), (gb, -1)):
+            if got is not None:
+                assert np.array_equal(got, sign * expected)
 
-    loss, ga, gb = run([1.0, np.nan, np.inf, 2.0, 0.0], [0.0, 1.0, 1.0, 2.0, 3.0])
-    assert np.isnan(loss)
-    for got, sign in ((ga, 1), (gb, -1)):
-        if got is not None:
-            assert np.isnan(got[1]) and not np.isnan(np.delete(got, 1)).any()
-            assert np.array_equal(np.delete(got, 1), sign * np.array([n, n, 0.0, -n], dtype=dtype))
+        loss, ga, gb = run([1.0, np.nan, np.inf, 2.0, 0.0], [0.0, 1.0, 1.0, 2.0, 3.0])
+        assert np.isnan(loss)
+        for got, sign in ((ga, 1), (gb, -1)):
+            if got is not None:
+                assert np.isnan(got[1]) and not np.isnan(np.delete(got, 1)).any()
+                assert np.array_equal(np.delete(got, 1),
+                                      sign * np.array([n, n, 0.0, -n], dtype=dtype))

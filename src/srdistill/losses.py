@@ -78,37 +78,28 @@ class DistillConfig:
 
 
 @dataclass
-class FeatureEncoding:
-    """A (C, P) view of a single sample's feature map, P = H*W."""
-
-    values: Tensor
-    grid: tuple[int, int]
-    channels: int
-
-
-@dataclass
 class ActivationMatrix:
     """Row-normalized P x P similarity matrix plus its source grid."""
 
     values: Tensor
     grid: tuple[int, int]
-    channels: int
 
 
-def flatten_features(feat: Tensor) -> FeatureEncoding:
+def flatten_features(feat: Tensor) -> Tensor:
+    """The (C, P) view of a single sample's feature map, P = H*W."""
     if feat.data.ndim != 4:
         raise ShapeError(f"expected NCHW features, got shape {feat.shape}")
     n, c, h, w = feat.shape
     if n != 1:
         raise ShapeError(f"similarity matrices are per sample; got batch {n}")
-    return FeatureEncoding(T.reshape(feat, (c, h * w)), (h, w), c)
+    return T.reshape(feat, (c, h * w))
 
 
 def semrel_matrix(feat: Tensor) -> ActivationMatrix:
     """Row-normalized Gram matrix over pixel positions of one feature map."""
-    enc = flatten_features(feat)
-    raw = T.matmul(T.transpose2d(enc.values), enc.values)
-    return ActivationMatrix(T.row_l2_normalize(raw), enc.grid, enc.channels)
+    f = flatten_features(feat)
+    raw = T.matmul(T.transpose2d(f), f)
+    return ActivationMatrix(T.row_l2_normalize(raw), feat.shape[2:])
 
 
 def sp_loss(teacher: ActivationMatrix, student: ActivationMatrix) -> Tensor:
@@ -128,11 +119,6 @@ def _grid_mismatch(teacher: tuple[int, int],
     )
 
 
-# rows of the P x P difference matrix held at once: 2**20 entries, 4 MB in
-# float32, whatever P is
-BLOCK_ELEMS = 2 ** 20
-
-
 def _scaled_columns(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F diag(1/r), 1/r, F F^T) of a (C, P) map, r the row norms of F^T F.
 
@@ -149,11 +135,11 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
 
     Per sample this is ``sp_loss(semrel_matrix(t), semrel_matrix(s))``; over
     a batch it is the mean over samples. It holds no P x P buffer: the
-    difference matrix is formed ``BLOCK_ELEMS // P`` rows at a time, and when
-    the student takes a gradient each block's share of it is added at once
-    from the block's signs. The teacher feature is a constant
-    target: only its ``.data`` is read, and it gets no graph and no gradient,
-    even when it requires one.
+    difference matrix is formed ``tensor.BLOCK_ELEMS // P`` rows at a time,
+    and each block's share of the student gradient is added at once from the
+    block's signs. The teacher feature is a constant target: only its
+    ``.data`` is read, and it gets no graph and no gradient, even when it
+    requires one.
     """
     for role, feat in (("teacher", teacher_feat), ("student", student_feat)):
         if feat.data.ndim != 4:
@@ -169,7 +155,7 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
     p = h * w
     fs_all = student_feat.data.reshape(n, -1, p)
     ft_all = teacher_feat.data.reshape(n, -1, p)
-    rows = min(p, max(1, BLOCK_ELEMS // p))
+    rows = min(p, max(1, T.BLOCK_ELEMS // p))
     blocks = [slice(lo, min(lo + rows, p)) for lo in range(0, p, rows)]
     # block buffers are reused: a fresh 4 MB array per block costs more in
     # page faults than the block's arithmetic
@@ -178,8 +164,8 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
     neg = np.empty((rows, p), dtype=bool)
     signs = np.empty((rows, p), dtype=np.int8)
     # the gradient of the sum of |A_s - A_t|, formed while a block's signs
-    # are at hand; only a student that takes a gradient needs it
-    grad = np.empty_like(fs_all) if student_feat.requires_grad else None
+    # are at hand
+    grad = np.empty_like(fs_all)
     total = 0.0
     for k in range(n):
         fs = fs_all[k]
@@ -188,9 +174,8 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
         # block rows of diag(1/r_s) S_s - diag(1/r_t) S_t in one product
         lhs = np.concatenate([a_s, -a_t]).T.copy()
         rhs = np.concatenate([fs, ft_all[k]])
-        if grad is not None:
-            df = np.zeros_like(fs)
-            q = np.zeros_like(gram_s)
+        df = np.zeros_like(fs)
+        q = np.zeros_like(gram_s)
         for blk in blocks:
             m = blk.stop - blk.start
             d = np.matmul(lhs[blk], rhs, out=buf[:m])
@@ -199,8 +184,6 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
                         np.less(d, 0, out=neg[:m]).view(np.int8),
                         out=signs[:m])
             total += float(np.abs(d, out=d).sum(axis=1).sum(dtype=np.float64))
-            if grad is None:
-                continue
             # with A = diag(1/r) S, G = sign(A_s - A_t) and dot_i = G_i . A_i:
             # dF = F (dS + dS^T), dS = diag(1/r) G - diag(dot/r^2) S
             gb = d  # |d| is summed: the buffer takes the block's signs
@@ -211,9 +194,7 @@ def similarity_loss(teacher_feat: Tensor, student_feat: Tensor) -> Tensor:
             df += ab @ gb
             df[:, blk] += hb.T * inv_s[blk] - (gram_s @ ab) * (dot * inv_s[blk])
             q += (ab * dot) @ ab.T
-        if grad is not None:
-            df -= q @ fs
-            grad[k] = df
+        grad[k] = df - q @ fs
 
     def backward(g, vs):
         T._adopt(vs, (grad * (float(g) / (n * p * p))).reshape(n, -1, h, w))

@@ -27,9 +27,9 @@ its parameters, in ``named_params`` order, from ``param(shape, init_std)``.
 biases without a draw. ``load_model``'s hands out a checkpoint's records in
 order, so they must be in ``named_params`` order, as ``save_model`` writes.
 
-FLOP accounting counts 2*MACs over convolutions and matmuls only
-(transposed convolutions counted input-centric); normalization and
-activations are ignored, so only ratios between models are meaningful.
+FLOP accounting counts 2*MACs over convolutions only (transposed
+convolutions counted input-centric); normalization and activations are
+ignored, so only ratios between models are meaningful.
 """
 
 from __future__ import annotations
@@ -314,8 +314,12 @@ def _concat(skip: Tensor, h: Tensor) -> Tensor:
 
 
 def build_model(spec: GeneratorSpec | DiscriminatorSpec,
-                rng: np.random.Generator | None = None, dtype=np.float64) -> Model:
-    """A fresh model: weights drawn N(0, WEIGHT_STD) from `rng`, biases zero."""
+                rng: np.random.Generator | None = None, dtype=np.float32) -> Model:
+    """A fresh model: weights drawn N(0, WEIGHT_STD) from `rng`, biases zero.
+
+    Parameters are `dtype` arrays, float32 by default as in ``load_model``
+    and ``data.image_to_tensor``.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -422,7 +426,7 @@ def count_params(model: Model) -> int:
 
 
 def count_flops(model: Model, resolution: int) -> int:
-    """2*MACs over convolutions/matmuls at the given input resolution."""
+    """2*MACs over convolutions at the given input resolution."""
     return 2 * model.count_macs((1, model.spec.in_channels, resolution, resolution))
 
 
@@ -432,7 +436,8 @@ def save_model(path, model: Model) -> None:
 
 
 def load_model(path, dtype=np.float32) -> Model:
-    """Rebuild a model from a checkpoint, its parameters as `dtype` arrays.
+    """Rebuild a model from a checkpoint, its parameters as `dtype` arrays,
+    float32 by default as in ``build_model``.
 
     The records must be the model's ``named_params``, in that order. The
     build takes each parameter from the next record after checking its

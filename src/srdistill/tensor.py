@@ -575,7 +575,8 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # backward folds conv2d's input gradient; its node and data leave the graph.
 
 # elements of one band's column matrix, of one row block of
-# row_l2_normalize and of one block of abs_mean: 2**20, 4 MB in float32
+# row_l2_normalize, of one block of abs_mean and of one row block of the
+# difference matrix in losses.similarity_loss: 2**20, 4 MB in float32
 BLOCK_ELEMS = 2 ** 20
 
 

@@ -1,5 +1,7 @@
 """Dataset generator and codec tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from srdistill.data import (
     PALETTE,
     CodecError,
     PairedDatasetSpec,
+    PairedSample,
     UnpairedDatasetSpec,
     gen_paired,
     gen_unpaired,
@@ -435,3 +438,25 @@ def test_netpbm_writers_reject_values_that_are_not_uint8(tmp_path, write, img):
     with pytest.raises(CodecError, match="uint8"):
         write(p, img)
     assert not p.exists()
+
+
+_LABEL = np.zeros((4, 4), dtype=np.uint8)
+_PHOTO = np.zeros((4, 4, 3), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda p: PairedSample(_LABEL, _PHOTO[:2], _LABEL), ValueError,
+     "resolution mismatch"),
+    (lambda p: PairedSample(_LABEL + len(PALETTE), _PHOTO, _LABEL), ValueError,
+     "outside the palette"),
+    (lambda p: write_ppm(p, _LABEL), CodecError, "PPM wants (H, W, 3)"),
+    (lambda p: write_pgm(p, _PHOTO), CodecError, "PGM wants (H, W)"),
+    (lambda p: image_to_tensor(_LABEL), ValueError, "expected (H, W, 3) image"),
+    (lambda p: tensor_to_image(np.zeros((2, 3, 4, 4))), ValueError, "expected batch 1"),
+    (lambda p: tensor_to_image(np.zeros((1, 4, 4, 4))), ValueError,
+     "expected (3, H, W) tensor"),
+], ids=["paired_resolution", "paired_palette", "ppm_shape", "pgm_shape",
+        "image_to_tensor_shape", "tensor_to_image_batch", "tensor_to_image_shape"])
+def test_input_checks_raise(tmp_path, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(tmp_path / "img")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import gradsuite
-from srdistill import losses as L
 from srdistill import tensor as T
 from srdistill.losses import (
     ActivationMatrix,
@@ -22,7 +21,16 @@ from srdistill.losses import (
     sp_loss,
     vanilla_kd_cycle,
 )
-from srdistill.models import DiscriminatorSpec, GeneratorSpec, build_discriminator, build_generator
+from srdistill.data import image_to_tensor
+from srdistill.models import (
+    DiscriminatorSpec,
+    GeneratorSpec,
+    build_discriminator,
+    build_generator,
+    build_model,
+    load_model,
+    save_model,
+)
 from srdistill.tensor import ShapeError, Tensor
 
 
@@ -100,8 +108,8 @@ def test_semrel_rows_are_unit_or_zero():
 
 def test_raw_gram_is_symmetric_psd():
     rng = np.random.default_rng(5)
-    enc = flatten_features(Tensor(rng.normal(size=(1, 4, 3, 3))))
-    raw = T.matmul(T.transpose2d(enc.values), enc.values).data
+    f = flatten_features(Tensor(rng.normal(size=(1, 4, 3, 3))))
+    raw = T.matmul(T.transpose2d(f), f).data
     assert np.max(np.abs(raw - raw.T)) < 1e-12
     assert np.linalg.eigvalsh(raw).min() > -1e-10
 
@@ -125,14 +133,14 @@ def test_flatten_features_rejects_batches():
 
 
 def test_sp_loss_hand_value():
-    t = ActivationMatrix(Tensor(np.eye(2)), (1, 2), 4)
-    s = ActivationMatrix(Tensor(np.full((2, 2), 0.5)), (1, 2), 2)
+    t = ActivationMatrix(Tensor(np.eye(2)), (1, 2))
+    s = ActivationMatrix(Tensor(np.full((2, 2), 0.5)), (1, 2))
     assert float(sp_loss(t, s).data) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sp_loss_mismatch_names_both_grids():
-    t = ActivationMatrix(Tensor(np.eye(16)), (4, 4), 8)
-    s = ActivationMatrix(Tensor(np.eye(4)), (2, 2), 8)
+    t = ActivationMatrix(Tensor(np.eye(16)), (4, 4))
+    s = ActivationMatrix(Tensor(np.eye(4)), (2, 2))
     with pytest.raises(ShapeError) as exc:
         sp_loss(t, s)
     assert "4x4" in str(exc.value) and "2x2" in str(exc.value)
@@ -201,8 +209,9 @@ def test_distill_config_rejects_non_finite_weights(field, value):
 def _tiny_setup(seed=0):
     rng = np.random.default_rng(seed)
     mk_g = lambda ngf, nb: build_generator(
-        GeneratorSpec("resnet", ngf, nb, resolution=16), rng)
-    mk_d = lambda: build_discriminator(DiscriminatorSpec(ndf=4, n_layers=1), rng)
+        GeneratorSpec("resnet", ngf, nb, resolution=16), rng, dtype=np.float64)
+    mk_d = lambda: build_discriminator(DiscriminatorSpec(ndf=4, n_layers=1), rng,
+                                       dtype=np.float64)
     g_a, g_b = mk_g(4, 1), mk_g(4, 1)
     d_a, d_b = mk_d(), mk_d()
     t_a, t_b = mk_g(8, 2), mk_g(8, 2)
@@ -312,10 +321,13 @@ def test_cycle_objective_runs_only_the_teacher_passes_a_term_needs(
 ])
 def test_paired_objective_runs_only_the_teacher_passes_a_term_needs(alpha, gamma, calls):
     rng = np.random.default_rng(10)
-    gen = build_generator(GeneratorSpec("resnet", 4, 1, resolution=16), rng)
-    teacher = build_generator(GeneratorSpec("resnet", 8, 1, resolution=16), rng)
+    gen = build_generator(GeneratorSpec("resnet", 4, 1, resolution=16), rng,
+                          dtype=np.float64)
+    teacher = build_generator(GeneratorSpec("resnet", 8, 1, resolution=16), rng,
+                              dtype=np.float64)
     teacher.set_requires_grad(False)
-    disc = build_discriminator(DiscriminatorSpec(ndf=4, n_layers=1, in_channels=6), rng)
+    disc = build_discriminator(DiscriminatorSpec(ndf=4, n_layers=1, in_channels=6), rng,
+                               dtype=np.float64)
     x = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)))
     y = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)))
     cfg = DistillConfig(gamma_a=gamma, alpha=alpha)
@@ -336,11 +348,13 @@ def test_discriminator_loss_is_halved_sum():
 
 def test_paired_objective_formula_and_reduction():
     rng = np.random.default_rng(6)
-    gen = build_generator(GeneratorSpec("resnet", 4, 1, resolution=16), rng)
-    teacher = build_generator(GeneratorSpec("resnet", 8, 1, resolution=16), rng)
+    gen = build_generator(GeneratorSpec("resnet", 4, 1, resolution=16), rng,
+                          dtype=np.float64)
+    teacher = build_generator(GeneratorSpec("resnet", 8, 1, resolution=16), rng,
+                              dtype=np.float64)
     teacher.set_requires_grad(False)
     disc = build_discriminator(
-        DiscriminatorSpec(ndf=4, n_layers=1, in_channels=6), rng)
+        DiscriminatorSpec(ndf=4, n_layers=1, in_channels=6), rng, dtype=np.float64)
     x = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)))
     y = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)))
 
@@ -378,6 +392,103 @@ def test_float32_objectives_stay_float32():
         terms.total.backward()
 
 
+def test_default_built_student_distils_from_a_default_loaded_teacher(tmp_path):
+    # no dtype anywhere: build_model, load_model and image_to_tensor share
+    # one default, so a fresh student trains against a saved teacher
+    rng = np.random.default_rng(16)
+    gspec = lambda ngf: GeneratorSpec("resnet", ngf, 1, resolution=16)
+    teachers = []
+    for i in range(2):
+        save_model(tmp_path / f"t{i}.ckpt", build_model(gspec(8), rng))
+        teachers.append(load_model(tmp_path / f"t{i}.ckpt"))
+        teachers[-1].set_requires_grad(False)
+    img = lambda: rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
+    x, y = Tensor(image_to_tensor(img())), Tensor(image_to_tensor(img()))
+    cfg = DistillConfig(gamma_a=0.5, gamma_b=0.5, alpha=0.05)
+    mk_d = lambda c: build_model(DiscriminatorSpec(ndf=4, n_layers=1, in_channels=c), rng)
+    paired = paired_objective(build_model(gspec(4), rng), mk_d(6), x, y, cfg, teachers[0])
+    cycle = full_cycle_objective(build_model(gspec(4), rng), build_model(gspec(4), rng),
+                                 mk_d(3), mk_d(3), x, y, cfg, *teachers)
+    for terms in (paired, cycle):
+        assert terms.total.dtype == np.float32
+        terms.total.backward()
+    assert all(p.grad is None for t in teachers for p in t.params())
+
+
+def _directional_derivatives(loss, params, rng, eps=1e-6):
+    """(backward, central difference) derivative of ``loss()`` along one
+    random unit direction over all of ``params``. Unit length keeps each
+    element's step far below ``eps``; steps of ``eps`` times N(0, 1) in
+    every element cross relu and |x| kinks at these shapes."""
+    for t in params:
+        t.grad = None
+    loss().backward()
+    direction = [rng.normal(size=t.shape) for t in params]
+    norm = math.sqrt(sum(float((v * v).sum()) for v in direction))
+    direction = [v / norm for v in direction]
+    analytic = sum(float((t.grad * v).sum()) for t, v in zip(params, direction))
+    origin = [t.data.copy() for t in params]
+
+    def at(step):
+        for t, o, v in zip(params, origin, direction):
+            t.data[...] = o + step * v
+        return float(loss().data)
+
+    numeric = (at(eps) - at(-eps)) / (2 * eps)
+    for t, o in zip(params, origin):
+        t.data[...] = o
+    return analytic, numeric
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("regime", ["cycle", "paired"])
+def test_whole_objective_gradients_match_central_differences(regime, alpha, gamma):
+    # the objective's total over every student parameter, then the
+    # discriminator loss over every discriminator parameter, in float64
+    rng = np.random.default_rng(17)
+    mk_g = lambda ngf: build_generator(GeneratorSpec("resnet", ngf, 1, resolution=16),
+                                       rng, dtype=np.float64)
+    mk_d = lambda c: build_discriminator(DiscriminatorSpec(ndf=2, n_layers=1,
+                                                           in_channels=c),
+                                         rng, dtype=np.float64)
+    x = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)))
+    y = Tensor(rng.uniform(-1, 1, (1, 3, 16, 16)))
+    cfg = DistillConfig(gamma_a=gamma, gamma_b=gamma, alpha=alpha)
+    n_dir = 2 if regime == "cycle" else 1
+    students, teachers = [mk_g(2) for _ in range(n_dir)], [mk_g(4) for _ in range(n_dir)]
+    discs = [mk_d(3 if regime == "cycle" else 6) for _ in range(n_dir)]
+    for t in teachers:
+        t.set_requires_grad(False)
+
+    def objective():
+        if regime == "cycle":
+            return full_cycle_objective(*students, *discs, x, y, cfg, *teachers)
+        return paired_objective(students[0], discs[0], x, y, cfg, teachers[0])
+
+    def d_loss():
+        terms = objective()
+        if regime == "cycle":
+            return T.add(discriminator_loss(discs[0], y, terms.fake_y.detach()),
+                         discriminator_loss(discs[1], x, terms.fake_x.detach()))
+        return discriminator_loss(discs[0], T.concat([x, y], axis=1),
+                                  T.concat([x, terms.fake.detach()], axis=1))
+
+    for d in discs:
+        d.set_requires_grad(False)
+    g_params = [t for g in students for t in g.params()]
+    analytic, numeric = _directional_derivatives(lambda: objective().total, g_params, rng)
+    assert analytic == pytest.approx(numeric, rel=1e-6)
+    for d in discs:
+        d.set_requires_grad(True)
+    for g in students:
+        g.set_requires_grad(False)
+    d_params = [t for d in discs for t in d.params()]
+    analytic, numeric = _directional_derivatives(d_loss, d_params, rng)
+    assert analytic == pytest.approx(numeric, rel=1e-6)
+    assert all(t.grad is None for teacher in teachers for t in teacher.params())
+
+
 def test_zero_features_give_zero_matrix_without_nan():
     vals = semrel_matrix(Tensor(np.zeros((1, 3, 2, 2)))).values.data
     assert np.array_equal(vals, np.zeros((4, 4)))
@@ -410,11 +521,11 @@ def _features(seed, ct, cs, h, w, n=1, dtype=np.float64):
 
 
 # (block entries, P): one block; rows not dividing P; one row per block
-@pytest.mark.parametrize("block, hw", [(L.BLOCK_ELEMS, (5, 7)),
+@pytest.mark.parametrize("block, hw", [(T.BLOCK_ELEMS, (5, 7)),
                                        (4 * 35, (5, 7)),
                                        (7, (3, 4))])
 def test_similarity_loss_matches_composite_float64(monkeypatch, block, hw):
-    monkeypatch.setattr(L, "BLOCK_ELEMS", block)
+    monkeypatch.setattr(T, "BLOCK_ELEMS", block)
     teacher, student = _features(10, 6, 3, *hw)
     want_loss, want_grad = _composite(teacher, student)
     got_loss, got_grad = _fused(teacher, student)

@@ -182,6 +182,16 @@ def test_repeated_key_in_a_config_text_is_rejected():
         parse_config_text("a=1\na=2\n")
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("=1\n", "line 1: empty key"),
+    ("a=1\n  = 2\n", "line 2: empty key"),
+    ("# c\n=\n", "line 2: empty key"),
+])
+def test_empty_key_in_a_config_text_is_rejected(text, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config_text(text)
+
+
 def test_repeated_parameter_name_is_a_codec_error():
     record = checkpoint_to_bytes({}, [("w", np.zeros(1, dtype=np.float32))])[4:]
     with pytest.raises(CodecError, match="repeated parameter name 'w'"):

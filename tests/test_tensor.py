@@ -718,6 +718,41 @@ def test_concat_shape_faults_are_shape_errors(shapes, axis):
         T.concat([Tensor(np.ones(s)) for s in shapes], axis=axis)
 
 
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: T.transpose2d(_ones(2, 2, 2)), "transpose2d expects a matrix"),
+    (lambda: T.matmul(_ones(2, 3), _ones(2, 3)), "inner dims"),
+    (lambda: T.concat([]), "empty sequence"),
+    (lambda: T.row_l2_normalize(_ones(4)), "row_l2_normalize expects a matrix"),
+    (lambda: T.pad2d(_ones(1, 1, 3, 3), -1), "negative padding"),
+    (lambda: T.pad2d(_ones(3, 3), 1), "pad2d expects NCHW"),
+    (lambda: T.conv2d(_ones(2, 3, 3), _ones(1, 2, 1, 1)), "input must be NCHW"),
+    (lambda: T.conv2d(_ones(1, 2, 3, 3), _ones(1, 2, 1)), "weight must be OIkk"),
+    (lambda: T.conv_transpose2d(_ones(1, 2, 3, 3), _ones(2, 1, 1)),
+     "weight must be IOkk"),
+    (lambda: T.conv2d(_ones(1, 2, 3, 3), _ones(1, 2, 1, 1), stride=0),
+     "stride must be positive"),
+    (lambda: T.conv2d(_ones(1, 2, 3, 3), _ones(1, 2, 5, 5)), "larger than padded input"),
+    (lambda: T.conv_transpose2d(_ones(1, 2, 1, 1), _ones(2, 3, 1, 1), padding=1),
+     "non-positive output size"),
+    (lambda: T.instance_norm(_ones(2, 3, 3)), "instance_norm expects NCHW"),
+], ids=["transpose2d_rank", "matmul_inner", "concat_empty", "row_l2_normalize_rank",
+        "pad2d_negative", "pad2d_rank", "conv_input_rank", "conv2d_weight_rank",
+        "conv_transpose2d_weight_rank", "conv_stride", "conv2d_kernel_size",
+        "conv_transpose2d_output_size", "instance_norm_rank"])
+def test_input_checks_raise_shape_errors(call, fragment):
+    with pytest.raises(ShapeError, match=fragment):
+        call()
+
+
+def test_integer_data_is_held_as_float64():
+    t = Tensor(np.arange(3))
+    assert t.dtype == np.float64 and np.array_equal(t.data, [0.0, 1.0, 2.0])
+
+
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "abs_mean", "square_mean",
                                 "matmul", "concat", "conv2d", "conv_bias"])
 def test_mixed_dtypes_are_rejected(op):

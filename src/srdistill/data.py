@@ -5,7 +5,8 @@ preserved: both domains show one elliptical object on a plain background,
 striped horizontally in domain A and vertically in domain B; translating
 should re-orient the stripes while keeping the shape. The paired task maps
 per-pixel class labels to deterministically rendered photos of a simple
-street scene. Every sample comes with a ground-truth class mask.
+street scene. An unpaired sample carries its object mask; a paired
+sample's label is its ground-truth class mask.
 
 Images travel as binary PPM (P6, color) and PGM (P5, single channel).
 Tensors use the affine mapping v/127.5 - 1 into [-1, 1], matching the
@@ -38,7 +39,8 @@ class UnpairedDatasetSpec:
     resolution: int = 32
     train_samples: int = 100
     test_samples: int = 10
-    coverage: tuple[float, float] = (0.2, 0.45)  # foreground area fraction
+    coverage_lo: float = 0.2  # foreground area fraction, drawn in [lo, hi]
+    coverage_hi: float = 0.45
     stripe_period: int = 4
     stripe_contrast: float = 0.9
     noise: float = 0.04
@@ -49,10 +51,9 @@ class UnpairedDatasetSpec:
             raise ValueError(f"resolution must be >= 8, got {self.resolution}")
         if self.train_samples < 1 or self.test_samples < 0:
             raise ValueError("need at least one training sample per domain")
-        lo, hi = self.coverage
-        if not 0.0 < lo <= hi <= 0.6:
+        if not 0.0 < self.coverage_lo <= self.coverage_hi <= 0.6:
             raise ValueError(f"coverage range must satisfy 0 < lo <= hi <= 0.6, "
-                             f"got {self.coverage}")
+                             f"got {(self.coverage_lo, self.coverage_hi)}")
         if self.stripe_period < 2:
             raise ValueError("stripe_period must be >= 2")
         if not 0.0 <= self.stripe_contrast <= 1.0:
@@ -106,7 +107,6 @@ class UnpairedDataset:
 class PairedSample:
     label: np.ndarray  # (H, W) uint8 class ids
     photo: np.ndarray  # (H, W, 3) uint8
-    mask: np.ndarray   # same ids as label
 
     def __post_init__(self):
         if self.label.shape != self.photo.shape[:2]:
@@ -122,8 +122,7 @@ class PairedSample:
 
 def _render_striped_ellipse(rng, spec: UnpairedDatasetSpec, horizontal: bool):
     res = spec.resolution
-    lo, hi = spec.coverage
-    target = rng.uniform(lo, hi)
+    target = rng.uniform(spec.coverage_lo, spec.coverage_hi)
     aspect = rng.uniform(0.7, 1.4)
     area = target * res * res
     rx = np.sqrt(area * aspect / np.pi)
@@ -236,7 +235,7 @@ def _paired_split(spec, split, count):
         rng = np.random.default_rng([spec.seed, 2, split, i])
         label = _render_label_scene(rng, spec.resolution)
         photo = _render_photo(rng, label, spec.noise)
-        samples.append(PairedSample(label, photo, label.copy()))
+        samples.append(PairedSample(label, photo))
     return samples
 
 
@@ -442,6 +441,5 @@ def load_paired(root) -> tuple[PairedDatasetSpec, list[PairedSample], list[Paire
     res, splits = spec.resolution, []
     for name, count in (("train", spec.train_samples), ("test", spec.test_samples)):
         labels, photos = _read_split(root / name, _PAIRED_PARTS, count, res)
-        splits.append([PairedSample(label, photo, label.copy())
-                       for label, photo in zip(labels, photos)])
+        splits.append([PairedSample(*s) for s in zip(labels, photos)])
     return spec, splits[0], splits[1]

@@ -55,8 +55,9 @@ class DistillConfig:
 
     gamma_a / gamma_b weight the similarity terms per direction (paired
     translation uses gamma_a only). alpha weights ground truth against the
-    teacher's output in the reconstruction blend; alpha = 1 disables the
-    teacher entirely. cycle_weight is the multiplier on the reconstruction
+    teacher's output in the reconstruction blend; alpha = 1 drops the
+    teacher-output term, but the teacher still runs for a nonzero gamma's
+    similarity term. cycle_weight is the multiplier on the reconstruction
     blend. Layer names default to each model's declared tap.
     """
 

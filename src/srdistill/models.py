@@ -4,8 +4,8 @@ Generators follow the standard residual image-translation layout: a 7x7
 stride-1 stem, two 3x3 stride-2 downsampling convolutions, a stack of
 residual blocks, two 3x3 stride-2 transposed convolutions and a final 7x7
 stride-1 convolution into tanh. The alternative is a fixed 8-level UNet
-for 256x256 inputs. Discriminators are patch classifiers built from 4x4
-convolutions.
+for square inputs whose side is a multiple of 256. Discriminators are
+patch classifiers built from 4x4 convolutions.
 
 Every model is one ``Model``: an ordered list of named stages, each a list
 of layers, and every stage name is a feature tap. A UNet's taps are
@@ -419,10 +419,7 @@ def _build_patchgan(spec: DiscriminatorSpec, param) -> Model:
 
 
 def count_params(model: Model) -> int:
-    names = [n for n, _ in model.named_params()]
-    if len(names) != len(set(names)):
-        raise ValueError("duplicate parameter names in model inventory")
-    return sum(t.numel() for _, t in model.named_params())
+    return sum(t.data.size for t in model.params())
 
 
 def count_flops(model: Model, resolution: int) -> int:

@@ -23,8 +23,7 @@ aligned array of its own. The bytes API is that codec:
 Specs (model architectures, datasets) travel as key=value manifests made
 by one codec, ``encode_spec``/``decode_spec``. The first key is ``kind``;
 then each dataclass field, in declaration order, is one key holding
-``str(value)``, except that a 2-tuple field ``f`` is two keys, ``f_lo`` and
-``f_hi``. A field named ``kind`` is the kind itself. On decode a ``str``
+``str(value)``. A field named ``kind`` is the kind itself. On decode a ``str``
 field takes the manifest's text, and an ``int`` or ``float`` field is
 parsed strictly by ``manifest_value``; a key that no field reads is an error.
 """
@@ -240,11 +239,7 @@ def encode_spec(spec, kind: str) -> dict[str, str]:
     """The manifest of dataclass `spec`, of `kind` (the key rule is above)."""
     out = {"kind": kind}
     for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, tuple):
-            out[f"{f.name}_lo"], out[f"{f.name}_hi"] = map(str, value)
-        else:
-            out[f.name] = str(value)
+        out[f.name] = str(getattr(spec, f.name))
     return out
 
 
@@ -253,13 +248,8 @@ def decode_spec(manifest: dict[str, str], kinds: dict[str, type]):
     kind = manifest.get("kind")
     if kind not in kinds:
         raise CodecError(f"manifest kind {kind!r}, expected one of {sorted(kinds)}")
-    fields = {}
-    for name, hint in _field_types(kinds[kind]):
-        if typing.get_origin(hint) is tuple:
-            fields[name] = tuple(manifest_value(manifest, f"{name}_{end}", t)
-                                 for end, t in zip(("lo", "hi"), typing.get_args(hint)))
-        else:
-            fields[name] = manifest_value(manifest, name, hint)
+    fields = {name: manifest_value(manifest, name, hint)
+              for name, hint in _field_types(kinds[kind])}
     try:
         spec = kinds[kind](**fields)
     except ValueError as exc:

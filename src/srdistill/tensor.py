@@ -85,9 +85,6 @@ class Tensor:
     def _backward_fn(self, fn: Callable[[np.ndarray], None]) -> None:
         self._node._backward_fn = fn
 
-    def numel(self) -> int:
-        return self.data.size
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 

@@ -43,7 +43,7 @@ def _arrays(regime, root):
     if regime == "unpaired":
         return list(vars(load_unpaired(root)[1]).values())
     _, train, test = load_paired(root)
-    return [a for s in train + test for a in (s.label, s.photo, s.mask)]
+    return [a for s in train + test for a in (s.label, s.photo)]
 
 
 @pytest.fixture(scope="module")

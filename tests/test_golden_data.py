@@ -2,6 +2,9 @@
 
 The step-1 values in ``perfbench/reference.json`` depend on these bytes, so a
 renderer change that alters a single pixel, or an RNG draw's order, fails here.
+The files ``save_unpaired`` and ``save_paired`` write, which perfbench's set-up
+writes and reads back, are pinned the same way: names, headers, pixels and
+manifest.
 """
 
 import hashlib
@@ -9,7 +12,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from srdistill.data import PairedDatasetSpec, UnpairedDatasetSpec, gen_paired, gen_unpaired
+from srdistill.data import (
+    PairedDatasetSpec,
+    UnpairedDatasetSpec,
+    gen_paired,
+    gen_unpaired,
+    save_paired,
+    save_unpaired,
+)
 
 
 def _digest(arrays) -> str:
@@ -23,7 +33,8 @@ def _digest(arrays) -> str:
 def _paired_arrays(spec):
     train, test = gen_paired(spec)
     for s in train + test:
-        yield from (s.label, s.photo, s.mask)
+        # the label twice: the pinned digests cover it as the sample's class mask too
+        yield from (s.label, s.photo, s.label)
 
 
 def _unpaired_arrays(spec):
@@ -53,3 +64,28 @@ GOLDEN = [
 def test_generated_dataset_bytes_are_pinned(spec, digest):
     arrays = (_paired_arrays if isinstance(spec, PairedDatasetSpec) else _unpaired_arrays)(spec)
     assert _digest(arrays) == digest
+
+
+def _directory_digest(root) -> str:
+    """sha256 over each file's path relative to `root` and its bytes, in
+    sorted path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        data = path.read_bytes()
+        h.update(b"%d\0" % len(data) + data)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (UnpairedDatasetSpec(resolution=32, train_samples=3, test_samples=2, seed=0),
+     "8b1fcbbb033b0f9e03e9dbc39507065b131d583bf9efafef6472b8b9c1dd145b"),
+    (PairedDatasetSpec(resolution=64, train_samples=3, test_samples=2, seed=1),
+     "32497ef4c5b0035493ab805abc203567dc812511bf1e070cdbe21a8ef91f09b2"),
+], ids=["unpaired32", "paired64"])
+def test_saved_dataset_directory_bytes_are_pinned(tmp_path, spec, digest):
+    if isinstance(spec, PairedDatasetSpec):
+        save_paired(tmp_path, spec, *gen_paired(spec))
+    else:
+        save_unpaired(tmp_path, spec, gen_unpaired(spec))
+    assert _directory_digest(tmp_path) == digest

@@ -292,7 +292,8 @@ def test_manifest_number_int_or_float_would_take_loosely_is_a_codec_error(
      "kind=patchgan\nndf=64\nn_layers=3\nin_channels=3\n"),
     (DiscriminatorSpec(ndf=8, n_layers=2, in_channels=6),
      "kind=patchgan\nndf=8\nn_layers=2\nin_channels=6\n"),
-    (D.UnpairedDatasetSpec(resolution=64, coverage=(0.1, 0.55), noise=0.0, seed=7),
+    (D.UnpairedDatasetSpec(resolution=64, coverage_lo=0.1, coverage_hi=0.55, noise=0.0,
+                           seed=7),
      "kind=unpaired\nresolution=64\ntrain_samples=100\ntest_samples=10\n"
      "coverage_lo=0.1\ncoverage_hi=0.55\nstripe_period=4\nstripe_contrast=0.9\n"
      "noise=0.0\nseed=7\n"),

@@ -9,6 +9,12 @@ street scene. An unpaired sample carries its object mask; a paired
 sample's label is its ground-truth class mask.
 
 Images travel as binary PPM (P6, color) and PGM (P5, single channel).
+``write_image`` writes ``P6`` (``P5`` for an (H, W) array), then
+``<width> <height>``, then ``255``, each ended by a newline, then the pixel
+rows. ``read_image`` accepts a header of maxval 255 with any run of
+whitespace and ``#`` comments between its fields and one whitespace byte
+after the last.
+
 Tensors use the affine mapping v/127.5 - 1 into [-1, 1], matching the
 generators' tanh output; the inverse rounds back to the exact input bytes.
 """
@@ -16,6 +22,7 @@ generators' tanh output; the inverse rounds back to the exact input bytes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -249,73 +256,52 @@ def gen_paired(spec: PairedDatasetSpec) -> tuple[list[PairedSample], list[Paired
 # image codecs
 
 
-def _write_netpbm(path, magic: bytes, arr: np.ndarray) -> None:
-    if arr.dtype != np.uint8:  # a cast would wrap values outside 0..255
-        raise CodecError(f"netpbm wants uint8 values, got {arr.dtype}")
-    h, w = arr.shape[:2]
-    with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (w, h))
-        f.write(np.ascontiguousarray(arr))  # the pixels' own buffer, when C-ordered
+def write_image(path, img: np.ndarray) -> None:
+    """Writes a uint8 (H, W, 3) array as a binary PPM (P6), an (H, W) one as a PGM (P5)."""
+    if img.ndim not in (2, 3) or img.shape[2:] not in ((), (3,)):
+        raise CodecError(f"netpbm wants (H, W) or (H, W, 3), got {img.shape}")
+    if img.dtype != np.uint8:  # a cast would wrap values outside 0..255
+        raise CodecError(f"netpbm wants uint8 values, got {img.dtype}")
+    with open(path, "wb") as f:  # P5 for (H, W), P6 for (H, W, 3)
+        f.write(b"P%d\n%d %d\n255\n" % (3 + img.ndim, img.shape[1], img.shape[0]))
+        f.write(np.ascontiguousarray(img))  # the pixels' own buffer, when C-ordered
 
 
-def write_ppm(path, img: np.ndarray) -> None:
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise CodecError(f"PPM wants (H, W, 3), got {img.shape}")
-    _write_netpbm(path, b"P6", img)
-
-
-def write_pgm(path, img: np.ndarray) -> None:
-    if img.ndim != 2:
-        raise CodecError(f"PGM wants (H, W), got {img.shape}")
-    _write_netpbm(path, b"P5", img)
+# The magic, then width, height and maxval, each after a run of whitespace
+# and #-to-end-of-line comments, then one whitespace byte. A token runs to the
+# next whitespace, so a # inside it is part of it and the run after it opens
+# with whitespace.
+_HEADER = re.compile(rb"P[56](?:\s|#[^\n]*\n)+([^\s#]\S*)"
+                     + rb"\s(?:\s|#[^\n]*\n)*([^\s#]\S*)" * 2 + rb"\s")
 
 
 def read_image(path) -> np.ndarray:
     """A binary PPM (H, W, 3) or PGM (H, W) file's uint8 pixels."""
     raw = Path(path).read_bytes()
-    magic = raw[:2]
-    if magic not in (b"P5", b"P6"):
-        raise CodecError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
-
-    # header tokens: width, height, maxval; # comments run to end of line
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        if pos >= len(raw):
-            raise CodecError(f"{path}: truncated header")
-        ch = raw[pos:pos + 1]
-        if ch == b"#":
-            nl = raw.find(b"\n", pos)
-            pos = len(raw) if nl < 0 else nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end:end + 1].isspace():
-                end += 1
-            tokens.append(raw[pos:end])
-            pos = end
-    pos += 1  # single whitespace after maxval
+    if raw[:2] not in (b"P5", b"P6"):
+        raise CodecError(f"{path}: not a binary PGM/PPM file (magic {raw[:2]!r})")
+    header = _HEADER.match(raw)
+    if header is None:
+        raise CodecError(f"{path}: truncated header")
 
     # int() would also take a sign, underscores and non-ASCII digits
-    for name, t in zip(("width", "height", "maxval"), tokens):
+    for name, t in zip(("width", "height", "maxval"), header.groups()):
         if not t.isdigit():  # bytes: ASCII 0-9 only
             raise CodecError(f"{path}: header {name} {t!r} is not a decimal number")
     try:
-        w, h, maxval = (int(t) for t in tokens)
+        w, h, maxval = (int(t) for t in header.groups())
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
         raise CodecError(f"{path}: header number has too many digits") from None
     if maxval != 255:
         raise CodecError(f"{path}: only maxval 255 supported, got {maxval}")
 
-    channels = 3 if magic == b"P6" else 1
-    expected = w * h * channels
-    payload = memoryview(raw)[pos:]
+    shape = (h, w, 3) if raw.startswith(b"P6") else (h, w)
+    expected = math.prod(shape)
+    payload = memoryview(raw)[header.end():]
     if len(payload) != expected:
         raise CodecError(f"{path}: payload expected {expected} bytes, "
                          f"got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    return arr.reshape((h, w, 3) if channels == 3 else (h, w))
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +352,7 @@ def _write_split(d: Path, suffixes, parts) -> None:
             old.unlink()
     for i, sample in enumerate(zip(*parts, strict=True)):
         for suffix, arr in zip(suffixes, sample):
-            (write_ppm if suffix.endswith(".ppm") else write_pgm)(d / f"{i:04d}{suffix}", arr)
+            write_image(d / f"{i:04d}{suffix}", arr)
 
 
 def _read_split(d: Path, suffixes, count: int, res: int):

@@ -183,14 +183,12 @@ class ResBlock:
     def __init__(self, channels: int, *, param):
         self.conv1 = Conv2d(channels, channels, 3, padding=1, pad_mode="reflect",
                             param=param)
-        self.norm1 = Pointwise("instance_norm")
         self.conv2 = Conv2d(channels, channels, 3, padding=1, pad_mode="reflect",
                             param=param)
-        self.norm2 = Pointwise("instance_norm")
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = T.relu(self.norm1(self.conv1(x)))
-        h = self.norm2(self.conv2(h))
+        h = T.relu(T.instance_norm(self.conv1(x)))
+        h = T.instance_norm(self.conv2(h))
         return T.add(x, h)
 
     def param_items(self):

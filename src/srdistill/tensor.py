@@ -23,13 +23,13 @@ later.
 An empty grad slot adopts a gradient array that a closure built for that
 vertex alone (``_adopt``), as PyTorch's accumulation takes over a gradient
 nothing else holds. It copies (``_accum``) an array that reaches more than
-one vertex (add's g, sub's g on its first operand), a view of the incoming
-g (reshape, transpose2d, concat, pad2d's zero crop, conv2d's flipped weight
-gradient) and one of another dtype. So no two live grad slots share
-memory. The g a closure is handed is its node's own slot, which the walk
-drops right after the call, so the closure may write over it and pass it
-on: row_l2_normalize's backward does. A closure builds no gradient for an
-operand that takes none.
+one vertex (add's g, sub's g on its first operand) and a view of the
+incoming g (reshape, transpose2d, concat, pad2d's zero crop, conv2d's
+flipped weight gradient). So no two live grad slots share memory. A
+gradient of another dtype than its vertex's is a TypeError. The g a closure
+is handed is its node's own slot, which the walk drops right after the
+call, so the closure may write over it and pass it on: row_l2_normalize's
+backward does. A closure builds no gradient for an operand that takes none.
 
 Gradient conventions at kinks: relu/leaky_relu take the positive branch
 at exactly 0, the gradient of ``|x|`` at 0 is 0.
@@ -172,9 +172,13 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor],
 
 
 def _accum(v, g: np.ndarray) -> None:
-    """Add g to the grad slot of vertex v (a node or a leaf); None takes none."""
+    """Add g to the grad slot of vertex v (a node or a leaf); None takes none.
+
+    A g of another dtype than v's is a TypeError, not a silent cast."""
     if v is None:
         return
+    if g.dtype != v.dtype:
+        raise TypeError(f"gradient of dtype {g.dtype} for a vertex of dtype {v.dtype}")
     if v.grad is None:
         v.grad = g.astype(v.dtype, copy=True)
     else:

@@ -1,9 +1,12 @@
 """Dataset generator and codec tests."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdistill.config import format_config
 from srdistill.data import (
@@ -21,8 +24,7 @@ from srdistill.data import (
     save_paired,
     save_unpaired,
     tensor_to_image,
-    write_pgm,
-    write_ppm,
+    write_image,
 )
 
 
@@ -123,7 +125,7 @@ def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
     p = tmp_path / "x.ppm"
-    write_ppm(p, img)
+    write_image(p, img)
     assert np.array_equal(read_image(p), img)
 
 
@@ -131,7 +133,7 @@ def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, (4, 6), dtype=np.uint8)
     p = tmp_path / "m.pgm"
-    write_pgm(p, img)
+    write_image(p, img)
     assert np.array_equal(read_image(p), img)
 
 
@@ -141,9 +143,44 @@ def test_header_comments_are_skipped(tmp_path):
     assert read_image(p).shape == (2, 3)
 
 
+# the six ASCII whitespace bytes, and comments of any bytes up to a newline
+_WS = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_COMMENT = st.binary(max_size=6).map(lambda c: b"#" + c.replace(b"\n", b"") + b"\n")
+_RUN = st.lists(_WS | _COMMENT, max_size=3).map(b"".join)
+
+
+@given(magic=st.sampled_from([b"P5", b"P6"]), h=st.integers(1, 4), w=st.integers(1, 4),
+       after_magic=st.lists(_WS | _COMMENT, min_size=1, max_size=4).map(b"".join),
+       # a token runs to the next whitespace, so the run after one opens with it
+       after_w=st.tuples(_WS, _RUN).map(b"".join),
+       after_h=st.tuples(_WS, _RUN).map(b"".join), last=_WS, data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_header_fields_between_whitespace_and_comments_read_back(
+        tmp_path_factory, magic, h, w, after_magic, after_w, after_h, last, data):
+    shape = (h, w, 3) if magic == b"P6" else (h, w)
+    pixels = data.draw(st.binary(min_size=math.prod(shape), max_size=math.prod(shape)))
+    p = tmp_path_factory.getbasetemp() / "grammar.pnm"
+    p.write_bytes(magic + after_magic + b"%d" % w + after_w + b"%d" % h + after_h
+                  + b"255" + last + pixels)
+    img = read_image(p)
+    assert img.shape == shape
+    assert img.tobytes() == pixels
+
+
+@pytest.mark.parametrize("raw", [
+    b"P52 3\n255\n" + bytes(6),  # netpbm puts whitespace or a comment after the magic
+    b"P5 0 3 255",  # and one whitespace byte after maxval, even before no pixels
+], ids=["magic_run_into_width", "no_byte_after_maxval"])
+def test_header_without_its_separators_is_a_truncated_header(tmp_path, raw):
+    p = tmp_path / "x.pgm"
+    p.write_bytes(raw)
+    with pytest.raises(CodecError, match="truncated header"):
+        read_image(p)
+
+
 def test_truncated_payload_names_byte_counts(tmp_path):
     p = tmp_path / "t.ppm"
-    write_ppm(p, np.zeros((4, 4, 3), dtype=np.uint8))
+    write_image(p, np.zeros((4, 4, 3), dtype=np.uint8))
     p.write_bytes(p.read_bytes()[:-10])
     with pytest.raises(CodecError) as exc:
         read_image(p)
@@ -332,11 +369,11 @@ def test_malformed_unpaired_domain_is_a_codec_error(tmp_path, fault, culprit):
         for f in (tmp_path / "testA").iterdir():
             f.unlink()
     elif fault == "small_image":
-        write_ppm(tmp_path / "trainA" / culprit, np.zeros((16, 16, 3), np.uint8))
+        write_image(tmp_path / "trainA" / culprit, np.zeros((16, 16, 3), np.uint8))
     elif fault == "gray_image":  # a PGM where a PPM belongs, at the manifest's size
-        write_pgm(tmp_path / "trainA" / culprit, np.zeros((32, 32), np.uint8))
+        write_image(tmp_path / "trainA" / culprit, np.zeros((32, 32), np.uint8))
     else:
-        write_pgm(tmp_path / "trainB" / culprit, np.zeros((16, 16), np.uint8))
+        write_image(tmp_path / "trainB" / culprit, np.zeros((16, 16), np.uint8))
     with pytest.raises(CodecError, match=culprit):
         load_unpaired(tmp_path)
 
@@ -354,9 +391,9 @@ def test_malformed_paired_sample_is_a_codec_error(tmp_path, image, culprit):
     if image is None:
         (tmp_path / "train" / "0000_label.pgm").unlink()
     elif image.ndim == 3:
-        write_ppm(tmp_path / "train" / "0000_photo.ppm", image)
+        write_image(tmp_path / "train" / "0000_photo.ppm", image)
     else:
-        write_pgm(tmp_path / "train" / "0000_label.pgm", image)
+        write_image(tmp_path / "train" / "0000_label.pgm", image)
     with pytest.raises(CodecError, match=culprit):
         load_paired(tmp_path)
 
@@ -388,8 +425,8 @@ def test_paired_label_and_photo_of_another_size_is_a_codec_error(tmp_path):
     spec = PairedDatasetSpec(resolution=32, train_samples=1, test_samples=0)
     train, test = gen_paired(spec)
     save_paired(tmp_path, spec, train, test)
-    write_pgm(tmp_path / "train" / "0000_label.pgm", np.zeros((40, 40), np.uint8))
-    write_ppm(tmp_path / "train" / "0000_photo.ppm", np.zeros((40, 40, 3), np.uint8))
+    write_image(tmp_path / "train" / "0000_label.pgm", np.zeros((40, 40), np.uint8))
+    write_image(tmp_path / "train" / "0000_photo.ppm", np.zeros((40, 40, 3), np.uint8))
     with pytest.raises(CodecError, match="0000_label.pgm"):
         load_paired(tmp_path)
 
@@ -421,21 +458,21 @@ def test_dataset_spec_rejects_noise_that_is_not_finite_and_at_least_zero(cls, no
 def test_unpaired_mask_value_above_one_is_a_codec_error(tmp_path, value):
     spec = UnpairedDatasetSpec(resolution=16, train_samples=1, test_samples=0)
     save_unpaired(tmp_path, spec, gen_unpaired(spec))
-    write_pgm(tmp_path / "trainA" / "0000_mask.pgm", np.full((16, 16), value, np.uint8))
+    write_image(tmp_path / "trainA" / "0000_mask.pgm", np.full((16, 16), value, np.uint8))
     with pytest.raises(CodecError, match="trainA/0000_mask.pgm"):
         load_unpaired(tmp_path)
 
 
-@pytest.mark.parametrize("write, img", [
-    (write_pgm, np.array([[300, -1], [2.7, 255]])),
-    (write_pgm, np.array([[1, 2]], dtype=np.int64)),
-    (write_ppm, np.zeros((2, 2, 3), dtype=np.float32)),
-    (write_ppm, np.zeros((2, 2, 3), dtype=np.uint16)),
+@pytest.mark.parametrize("img", [
+    np.array([[300, -1], [2.7, 255]]),
+    np.array([[1, 2]], dtype=np.int64),
+    np.zeros((2, 2, 3), dtype=np.float32),
+    np.zeros((2, 2, 3), dtype=np.uint16),
 ], ids=["pgm_float", "pgm_int64", "ppm_float32", "ppm_uint16"])
-def test_netpbm_writers_reject_values_that_are_not_uint8(tmp_path, write, img):
+def test_netpbm_writers_reject_values_that_are_not_uint8(tmp_path, img):
     p = tmp_path / "x.pnm"
     with pytest.raises(CodecError, match="uint8"):
-        write(p, img)
+        write_image(p, img)
     assert not p.exists()
 
 
@@ -448,13 +485,13 @@ _PHOTO = np.zeros((4, 4, 3), dtype=np.uint8)
      "resolution mismatch"),
     (lambda p: PairedSample(_LABEL + len(PALETTE), _PHOTO), ValueError,
      "outside the palette"),
-    (lambda p: write_ppm(p, _LABEL), CodecError, "PPM wants (H, W, 3)"),
-    (lambda p: write_pgm(p, _PHOTO), CodecError, "PGM wants (H, W)"),
+    (lambda p: write_image(p, np.zeros((4, 4, 4), dtype=np.uint8)), CodecError,
+     "netpbm wants (H, W) or (H, W, 3)"),
     (lambda p: image_to_tensor(_LABEL), ValueError, "expected (H, W, 3) image"),
     (lambda p: tensor_to_image(np.zeros((2, 3, 4, 4))), ValueError, "expected batch 1"),
     (lambda p: tensor_to_image(np.zeros((1, 4, 4, 4))), ValueError,
      "expected (3, H, W) tensor"),
-], ids=["paired_resolution", "paired_palette", "ppm_shape", "pgm_shape",
+], ids=["paired_resolution", "paired_palette", "netpbm_shape",
         "image_to_tensor_shape", "tensor_to_image_batch", "tensor_to_image_shape"])
 def test_input_checks_raise(tmp_path, call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srdistill.data import read_image, write_pgm, write_ppm
+from srdistill.data import read_image, write_image
 from srdistill.models import GeneratorSpec, build_generator, load_model, save_model
 from srdistill.serialize import CodecError, read_checkpoint, write_checkpoint
 
@@ -57,8 +57,8 @@ def sources(tmp_path_factory):
     add("g.ckpt", save_model, load_model,
         build_generator(GeneratorSpec("resnet", 2, 1, resolution=8), dtype=np.float32))
     rng = np.random.default_rng(0)
-    add("x.ppm", write_ppm, read_image, rng.integers(0, 256, (3, 5, 3), dtype=np.uint8))
-    add("x.pgm", write_pgm, read_image, rng.integers(0, 256, (4, 2), dtype=np.uint8))
+    add("x.ppm", write_image, read_image, rng.integers(0, 256, (3, 5, 3), dtype=np.uint8))
+    add("x.pgm", write_image, read_image, rng.integers(0, 256, (4, 2), dtype=np.uint8))
     return out
 
 

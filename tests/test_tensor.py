@@ -660,6 +660,22 @@ def test_backward_on_a_no_grad_leaf_leaves_no_gradient():
     assert x.grad is None
 
 
+@pytest.mark.parametrize("filled", [False, True], ids=["empty_slot", "filled_slot"])
+@pytest.mark.parametrize("hand", ["_accum", "_adopt"])
+def test_a_gradient_of_another_dtype_is_a_type_error(hand, filled):
+    x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    if filled:
+        x.grad = np.ones(2, dtype=np.float32)
+    y = T._make(2 * x.data, (x,),
+                lambda g, vx: getattr(T, hand)(vx, g.astype(np.float64)))
+    with pytest.raises(TypeError, match="dtype float64 for a vertex of dtype float32"):
+        T.reduce_sum(y).backward()
+    if filled:  # the slot is left as it was
+        assert np.array_equal(x.grad, np.ones(2))
+    else:
+        assert x.grad is None
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):

@@ -23,13 +23,15 @@ later.
 An empty grad slot adopts a gradient array that a closure built for that
 vertex alone (``_adopt``), as PyTorch's accumulation takes over a gradient
 nothing else holds. It copies (``_accum``) an array that reaches more than
-one vertex (add's g, sub's g on its first operand) and a view of the
-incoming g (reshape, transpose2d, concat, pad2d's zero crop, conv2d's
-flipped weight gradient). So no two live grad slots share memory. A
-gradient of another dtype than its vertex's is a TypeError. The g a closure
-is handed is its node's own slot, which the walk drops right after the
-call, so the closure may write over it and pass it on: row_l2_normalize's
-backward does. A closure builds no gradient for an operand that takes none.
+one vertex (add's g) and a view of the incoming g (reshape, transpose2d,
+concat, pad2d's zero crop, conv2d's flipped weight gradient). So no two
+live grad slots share memory. A gradient of another dtype than its
+vertex's is a TypeError. Only the walk runs a closure, and the g it hands
+over is the node's own slot, which it drops right after the call, so the
+closure may write over it and pass it on: row_l2_normalize's backward
+does. A closure builds no gradient for an operand that takes none. Ops
+built from other ops (sub is add of a scaled operand, conv2d's padding a
+pad2d node) leave their parts in the graph.
 
 Gradient conventions at kinks: relu/leaky_relu take the positive branch
 at exactly 0, the gradient of ``|x|`` at 0 is 0.
@@ -48,9 +50,11 @@ class ShapeError(ValueError):
 
 
 def _as_float_array(data) -> np.ndarray:
+    """float32 and float64 data as they are; any other data as float32, the
+    dtype models and images default to."""
     arr = np.asarray(data)
     if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
+        arr = arr.astype(np.float32)
     return arr
 
 
@@ -218,13 +222,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _operands("sub", a, b, a.shape)
-
-    def backward(g, va, vb):
-        _accum(va, g)
-        if vb is not None:
-            _adopt(vb, -g)
-
-    return _make(a.data - b.data, (a, b), backward)
+    return add(a, scale(b, -1.0))  # a + (-b) is a - b, bitwise
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -281,21 +279,21 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    shape, dtype = a.shape, a.dtype
-
-    def backward(g, va):
-        _adopt(va, np.full(shape, float(g), dtype=dtype))
-
-    return _make(np.asarray(a.data.sum(), dtype=dtype), (a,), backward)
+    return _reduce(a, a.data.sum(), 1)
 
 
 def reduce_mean(a: Tensor) -> Tensor:
-    shape, dtype, n = a.shape, a.dtype, a.data.size
+    return _reduce(a, a.data.mean(), a.data.size)
+
+
+def _reduce(a: Tensor, value, n: int) -> Tensor:
+    """The scalar `value` of a, whose gradient is g / n on every element."""
+    shape, dtype = a.shape, a.dtype
 
     def backward(g, va):
         _adopt(va, np.full(shape, float(g) / n, dtype=dtype))
 
-    return _make(np.asarray(a.data.mean(), dtype=dtype), (a,), backward)
+    return _make(np.asarray(value, dtype=dtype), (a,), backward)
 
 
 def abs_mean(a: Tensor, b: Tensor) -> Tensor:
@@ -411,14 +409,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
         if len(t.shape) != len(first) or t.shape[:axis] + t.shape[axis + 1:] != rest:
             raise ShapeError(f"concat: operand shape {t.shape} differs from {first} "
                              f"off axis {axis}")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def backward(g, *vertices):
-        for v, lo, hi in zip(vertices, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(v, g[tuple(idx)])
+        for v, part in zip(vertices, np.split(g, cuts, axis=axis)):
+            _accum(v, part)
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis),
                  tensors, backward)
@@ -572,8 +567,10 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # columns and the input gradient scatters. conv_transpose2d's forward is
 # the _adjoint; its backward embeds g and takes the _correlate and the
 # _weight_grad of that.
-# Padding stays a pad2d call (perfbench's tracer times it inside conv2d) whose
-# backward folds conv2d's input gradient; its node and data leave the graph.
+# Padding stays a pad2d call (perfbench's tracer times it inside conv2d)
+# whose node is conv2d's parent: the walk runs its crop or reflect fold on
+# conv2d's input gradient, and the node holds the padded copy only through
+# its weakref, so the graph keeps none; backward pads x again.
 
 # elements of one band's column matrix, of one row block of
 # row_l2_normalize, of one block of abs_mean and of one row block of the
@@ -726,11 +723,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     else:
         out_data = _correlate(xp.data, w.reshape(O, -1), kh, kw, stride, oh, ow)
     out_data = _add_bias("conv2d", out_data, weight, bias)
-    fold = xp._backward_fn if xp is not x else None  # the pad node's, or None
-    del xp  # its data leaves with it; backward pads x again
     xd = x.data if weight.requires_grad else None  # read by the weight gradient only
 
-    def backward(g, vx, vw, vb=None):
+    def backward(g, vxp, vw, vb=None):
         if vw is not None:
             xpd = _pad(xd, padding, pad_mode) if padding else xd
             if flip:  # conv_transpose2d's weight gradient, roles swapped
@@ -741,11 +736,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             del xpd  # before _adjoint allocates
         if vb is not None:
             _adopt(vb, g.sum(axis=(0, 2, 3)))
-        if vx is not None:
-            dxp = _adjoint(g, w, stride, H, W)
-            fold(dxp) if fold else _adopt(vx, dxp)
+        if vxp is not None:
+            _adopt(vxp, _adjoint(g, w, stride, H, W))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = (xp, weight) if bias is None else (xp, weight, bias)
     return _make(out_data, parents, backward)
 
 

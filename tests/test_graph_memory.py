@@ -246,8 +246,10 @@ def test_no_two_grad_slots_share_memory_and_a_second_walk_doubles_every_gradient
     terms = [weighed(T.pad2d(cat, 1, "zero")),
              weighed(T.pad2d(cat, 2, "reflect")),
              weighed(T.add(T.reshape(T.sub(T.mul(b, b), a), (2, 25)),
-                           T.add(T.scale(c, 2.0), T.scale(c, 3.0))))]
-    loss = T.add(T.add(terms[0], terms[1]), terms[2])
+                           T.add(T.scale(c, 2.0), T.scale(c, 3.0)))),
+             # the pad node is conv2d's parent, so its g is among the slots
+             weighed(T.conv2d(cat, leaf(3, 4, 3, 3), padding=1, pad_mode="reflect"))]
+    loss = T.add(T.add(terms[0], terms[1]), T.add(terms[2], terms[3]))
 
     passed = []  # every gradient a node's closure was handed
     nodes, leaves = _nodes(loss)
@@ -259,7 +261,7 @@ def test_no_two_grad_slots_share_memory_and_a_second_walk_doubles_every_gradient
 
     loss.backward()
     slots = passed + [v.grad for v in leaves]
-    assert len(leaves) == 3 and all(v.grad is not None for v in leaves)
+    assert len(leaves) == 4 and all(v.grad is not None for v in leaves)
     for i, x in enumerate(slots):
         for y in slots[i + 1:]:
             assert not np.shares_memory(x, y)

@@ -381,3 +381,11 @@ def test_spec_rejects_fields_its_manifest_could_not_read_back():
             GeneratorSpec("unet", 64, resolution=resolution)
     with pytest.raises(ValueError, match="in_channels"):
         DiscriminatorSpec(in_channels=0)
+
+
+def test_a_uint8_image_runs_through_a_default_built_generator():
+    # integer data become float32, the dtype build_model defaults to
+    img = np.random.default_rng(3).integers(0, 256, (16, 16, 3), dtype=np.uint8)
+    g = build_model(GeneratorSpec("resnet", 4, 1, resolution=16))
+    y = g.forward(Tensor(img.transpose(2, 0, 1)[None]))
+    assert y.shape == (1, 3, 16, 16) and y.dtype == np.float32

@@ -764,9 +764,11 @@ def test_input_checks_raise_shape_errors(call, fragment):
         call()
 
 
-def test_integer_data_is_held_as_float64():
+def test_integer_data_is_held_as_float32():
     t = Tensor(np.arange(3))
-    assert t.dtype == np.float64 and np.array_equal(t.data, [0.0, 1.0, 2.0])
+    assert t.dtype == np.float32 and np.array_equal(t.data, [0.0, 1.0, 2.0])
+    assert Tensor(np.array([True, False])).dtype == np.float32
+    assert Tensor(np.ones(2)).dtype == np.float64  # float data keep their dtype
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "abs_mean", "square_mean",

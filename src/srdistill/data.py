@@ -317,13 +317,17 @@ def image_to_tensor(img: np.ndarray, dtype=np.float32) -> np.ndarray:
 
 
 def tensor_to_image(t: np.ndarray) -> np.ndarray:
-    """(1, 3, H, W) or (3, H, W) float in [-1, 1] -> (H, W, 3) uint8."""
+    """(1, 3, H, W) or (3, H, W) float in [-1, 1] -> (H, W, 3) uint8.
+
+    Values outside [-1, 1] clip to 0 or 255; NaN or inf is a ValueError."""
     if t.ndim == 4:
         if t.shape[0] != 1:
             raise ValueError(f"expected batch 1, got {t.shape}")
         t = t[0]
     if t.ndim != 3 or t.shape[0] != 3:
         raise ValueError(f"expected (3, H, W) tensor, got {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("expected finite values, got NaN or inf")
     v = np.rint((np.asarray(t, dtype=np.float64) + 1.0) * 127.5)
     return np.clip(v, 0, 255).astype(np.uint8).transpose(1, 2, 0)
 

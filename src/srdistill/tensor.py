@@ -50,9 +50,12 @@ class ShapeError(ValueError):
 
 
 def _as_float_array(data) -> np.ndarray:
-    """float32 and float64 data as they are; any other data as float32, the
-    dtype models and images default to."""
+    """float32 and float64 data as they are; other bool, integer and float
+    data as float32, the dtype models and images default to. Any other dtype
+    (object, string, complex, datetime) is a TypeError."""
     arr = np.asarray(data)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"Tensor data must be bool, integer or float, not {arr.dtype}")
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32)
     return arr
@@ -299,23 +302,18 @@ def _reduce(a: Tensor, value, n: int) -> Tensor:
 def abs_mean(a: Tensor, b: Tensor) -> Tensor:
     """Mean absolute difference (L1). Gradient of |x| at 0 is 0.
 
-    Works block by block: the difference, its int8 signs and its sum are
-    formed BLOCK_ELEMS elements at a time, and only the full signs, which
-    the backward reads, are kept. Several blocks run over the flattened
-    operands (a copy of a non-contiguous one) and add their sums in float64;
-    one block is the arrays as they are, so its loss is
-    ``np.abs(a - b).mean()`` bitwise.
+    Works block by block over the operands flattened in C order (a copy of
+    a non-contiguous one): the difference, its int8 signs and its sum are
+    formed BLOCK_ELEMS elements at a time, the block sums are added in
+    float64, and only the full signs, which the backward reads, are kept.
     """
     _operands("abs_mean", a, b, a.shape)
-    x, y = a.data, b.data
-    n, dtype, shape = x.size, x.dtype, x.shape
-    blocks = [Ellipsis]  # one block: the whole arrays, in their own layout
-    if n > BLOCK_ELEMS:
-        x, y = x.reshape(-1), y.reshape(-1)
-        blocks = [slice(lo, lo + BLOCK_ELEMS) for lo in range(0, n, BLOCK_ELEMS)]
+    n, dtype, shape = a.data.size, a.dtype, a.shape
+    x, y = a.data.reshape(-1), b.data.reshape(-1)
+    blocks = [slice(lo, lo + BLOCK_ELEMS) for lo in range(0, n, BLOCK_ELEMS)]
     signs = None
     if a.requires_grad or b.requires_grad:
-        signs = np.empty(x.shape, np.int8)
+        signs = np.empty(n, np.int8)
     total = np.float64(0.0)
     for blk in blocks:
         d = x[blk] - y[blk]

@@ -491,8 +491,13 @@ _PHOTO = np.zeros((4, 4, 3), dtype=np.uint8)
     (lambda p: tensor_to_image(np.zeros((2, 3, 4, 4))), ValueError, "expected batch 1"),
     (lambda p: tensor_to_image(np.zeros((1, 4, 4, 4))), ValueError,
      "expected (3, H, W) tensor"),
+    (lambda p: tensor_to_image(np.full((1, 3, 4, 4), np.nan, dtype=np.float32)),
+     ValueError, "expected finite values"),
+    (lambda p: tensor_to_image(np.full((3, 4, 4), -np.inf)), ValueError,
+     "expected finite values"),
 ], ids=["paired_resolution", "paired_palette", "netpbm_shape",
-        "image_to_tensor_shape", "tensor_to_image_batch", "tensor_to_image_shape"])
+        "image_to_tensor_shape", "tensor_to_image_batch", "tensor_to_image_shape",
+        "tensor_to_image_nan", "tensor_to_image_inf"])
 def test_input_checks_raise(tmp_path, call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call(tmp_path / "img")

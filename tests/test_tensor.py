@@ -1,5 +1,6 @@
 """Autodiff op tests: loop-nest oracles, adjoint identities, gradient checks."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import gradsuite
 from srdistill import tensor as T
+from srdistill.data import image_to_tensor
 from srdistill.tensor import ShapeError, Tensor
 
 
@@ -771,6 +773,17 @@ def test_integer_data_is_held_as_float32():
     assert Tensor(np.ones(2)).dtype == np.float64  # float data keep their dtype
 
 
+@pytest.mark.parametrize("data", [
+    np.array([None]),
+    np.array(["1.5"]),
+    np.array([1.0 + 2.0j], dtype=np.complex64),
+    np.array(["2020-01-01"], dtype="datetime64[D]"),
+], ids=["object", "string", "complex", "datetime64"])
+def test_data_that_is_not_bool_integer_or_float_is_rejected(data):
+    with pytest.raises(TypeError, match=re.escape(str(data.dtype))):
+        Tensor(data)
+
+
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "abs_mean", "square_mean",
                                 "matmul", "concat", "conv2d", "conv_bias"])
 def test_mixed_dtypes_are_rejected(op):
@@ -914,13 +927,38 @@ def test_blocked_abs_mean_matches_one_block(dtype, layout, monkeypatch):
         return float(loss.data), ta.grad, tb.grad
 
     whole = run()
-    assert whole[0] == float(np.abs(a - b).mean())  # one block is numpy's mean
+    # one block is numpy's mean over the difference in C order
+    assert whole[0] == float(np.abs(a - b).ravel().mean())
     monkeypatch.setattr(T, "BLOCK_ELEMS", 1000)  # 8 blocks, the last one short
     blocked = run()
     rtol = 1e-12 if dtype == np.float64 else 1e-6
     assert abs(blocked[0] - whole[0]) <= rtol * whole[0]
     assert np.array_equal(blocked[1], whole[1]) and np.array_equal(blocked[2], whole[2])
     assert np.array_equal(whole[1], np.sign(a - b) / a.size)
+
+
+@pytest.mark.parametrize("pair", ["image_view", "transposed"])
+@pytest.mark.parametrize("block", [None, 1000])  # one block, then 6 of 1000
+def test_abs_mean_does_not_depend_on_operand_layout(pair, block, monkeypatch):
+    # at seed 3 the two transposed views' own memory order sums to other bits
+    rng = np.random.default_rng(3)
+    if pair == "image_view":
+        a = rng.normal(size=(1, 3, 48, 40)).astype(np.float32)
+        b = image_to_tensor(rng.integers(0, 256, size=(48, 40, 3), dtype=np.uint8))
+    else:
+        a = rng.normal(size=(40, 48, 3)).astype(np.float32).T
+        b = rng.normal(size=(40, 48, 3)).astype(np.float32).T
+    assert not b.flags.c_contiguous
+    if block is not None:
+        monkeypatch.setattr(T, "BLOCK_ELEMS", block)
+
+    def run(x, y):
+        tx, ty = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+        loss = T.abs_mean(tx, ty)
+        loss.backward()
+        return loss.data.tobytes(), tx.grad.tobytes(), ty.grad.tobytes()
+
+    assert run(a, b) == run(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -24,14 +24,13 @@ An empty grad slot adopts a gradient array that a closure built for that
 vertex alone (``_adopt``), as PyTorch's accumulation takes over a gradient
 nothing else holds. It copies (``_accum``) an array that reaches more than
 one vertex (add's g) and a view of the incoming g (reshape, transpose2d,
-concat, pad2d's zero crop, conv2d's flipped weight gradient). So no two
-live grad slots share memory. A gradient of another dtype than its
-vertex's is a TypeError. Only the walk runs a closure, and the g it hands
-over is the node's own slot, which it drops right after the call, so the
-closure may write over it and pass it on: row_l2_normalize's backward
-does. A closure builds no gradient for an operand that takes none. Ops
-built from other ops (sub is add of a scaled operand, conv2d's padding a
-pad2d node) leave their parts in the graph.
+concat, pad2d's zero crop). So no two live grad slots share memory. A
+gradient of another dtype than its vertex's is a TypeError. Only the walk
+runs a closure, and the g it hands over is the node's own slot, which it
+drops right after the call, so the closure may write over it and pass it
+on: row_l2_normalize's backward does. A closure builds no gradient for an
+operand that takes none. Ops built from other ops (sub is add of a scaled
+operand, conv2d's padding a pad2d node) leave their parts in the graph.
 
 Gradient conventions at kinks: relu/leaky_relu take the positive branch
 at exactly 0, the gradient of ``|x|`` at 0 is 0.
@@ -544,27 +543,22 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 #     product is compacted into the output. Other strides gather windows.
 #   - _adjoint, a conv's input gradient, scatters w^T @ g band by band, one
 #     tap at a time, onto the same windows of the zeroed image (spans at
-#     stride 1), also past the natural extent where output_padding >
-#     padding. At stride 1 and O < I it gathers instead: the _correlate of
-#     the zero-padded gradient with the flipped, transposed kernel.
+#     stride 1), also past the natural extent where output_padding > padding.
 #   - _weight_grad sums g_b @ cols_b^T over the same bands, regathered from
 #     an input the backward holds anyway or rebuilds. So no conv keeps
 #     columns or a padded copy from forward to backward; one more pad and
 #     gather buy that (Chen et al. 2016, arXiv 1604.06174). The scatter and
 #     the weight gradient widen g once to the bands' pitch with zero wrap
 #     columns (_widen), so the wrap columns add nothing.
-# Which product runs follows from the shapes alone. At stride 1 all three
-# of conv2d's copy kh*kw shifted windows (gathered, or scattered into) of
-# whichever side has fewer channels, the input on a tie. So where O < I
-# (the 7x7 heads, the last PatchGAN conv) the forward is the _adjoint
-# scatter of the flipped kernel onto a plane kh-1, kw-1 larger on each
-# side, cropped; the weight gradient is conv_transpose2d's with the roles
-# swapped, the embedded gradient's columns regathered against the input
-# padded again; the input gradient gathers. Otherwise, and at every other
-# stride, the forward and the weight gradient gather the padded input's
-# columns and the input gradient scatters. conv_transpose2d's forward is
-# the _adjoint; its backward embeds g and takes the _correlate and the
-# _weight_grad of that.
+# One rule picks each product's form from its shapes: at stride 1 it copies
+# kh*kw shifted windows (gathered, or scattered into) of the side with fewer
+# channels, the input on a tie. So where O < I (the 7x7 heads, the last
+# PatchGAN conv) _correlate scatters _flip(w), _adjoint gathers and
+# _weight_grad regathers the embedded g; elsewhere, and at other strides,
+# _correlate and _weight_grad gather the input and _adjoint scatters.
+# conv2d runs _correlate forward, and _weight_grad and _adjoint backward;
+# conv_transpose2d runs _adjoint forward, and _weight_grad and _correlate
+# backward on the embedded g.
 # Padding stays a pad2d call (perfbench's tracer times it inside conv2d)
 # whose node is conv2d's parent: the walk runs its crop or reflect fold on
 # conv2d's input gradient, and the node holds the padded copy only through
@@ -615,11 +609,25 @@ def _widen(g: np.ndarray, pitch: int) -> np.ndarray:
     return g.reshape(N, O, oh * pitch)
 
 
-def _correlate(x: np.ndarray, w2d: np.ndarray, kh: int, kw: int, stride: int,
-               oh: int, ow: int) -> np.ndarray:
-    """``w2d @ columns(x)`` as (N, O, oh, ow), band by band; keeps no columns."""
-    N, O = x.shape[0], w2d.shape[0]
-    out = np.empty((N, O, oh, ow), dtype=np.result_type(x, w2d))
+def _flip(w: np.ndarray) -> np.ndarray:
+    """Kernel w (O, I, kh, kw) flipped in both spatial axes, as (I, O, kh, kw)."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """(N, O, oh, ow) correlation of x (N, I, H, W) with w (O, I, kh, kw).
+
+    At stride 1 with O < I, the _adjoint scatter of ``_flip(w)``, cropped;
+    otherwise ``w2d @ columns(x)`` band by band, keeping no columns.
+    """
+    N, _, H, W = x.shape
+    O, I, kh, kw = w.shape
+    oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
+    if stride == 1 and O < I:
+        full = _adjoint(x, _flip(w), 1, H + kh - 1, W + kw - 1)
+        return full[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow]
+    w2d = w.reshape(O, -1)
+    out = np.empty((N, O, oh, ow), dtype=np.result_type(x, w))
     pitch, bands = _bands(x, kh, kw, stride, oh, ow)
     for y0, y1, win in bands:
         prod = w2d @ win.reshape(N, w2d.shape[1], -1)
@@ -632,14 +640,14 @@ def _correlate(x: np.ndarray, w2d: np.ndarray, kh: int, kw: int, stride: int,
 def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.ndarray:
     """(N, I, H, W) input gradient of a conv by w (O, I, kh, kw) for g (N, O, oh, ow).
 
-    A gather at stride 1 and O < I; otherwise each band's ``w^T @ g_b`` is
+    At stride 1 with O < I it gathers: the _correlate of g zero-padded by
+    kh-1, kw-1 with ``_flip(w)``. Otherwise each band's ``w^T @ g_b`` is
     added tap by tap onto that band's windows of the zeroed gradient.
     """
     N, O, oh, ow = g.shape
     _, I, kh, kw = w.shape
     if stride == 1 and O < I:
-        wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(I, O * kh * kw)
-        return _correlate(_embed(g, kh - 1, kw - 1), wf, kh, kw, 1, H, W)
+        return _correlate(_embed(g, kh - 1, kw - 1), _flip(w), 1)
     dx = np.zeros((N, I, H, W), dtype=np.result_type(g, w))
     wt = w.reshape(O, I * kh * kw).T
     pitch, bands = _bands(dx, kh, kw, stride, oh, ow)
@@ -653,10 +661,16 @@ def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.nd
     return dx
 
 
-def _weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
-                 shape) -> np.ndarray:
-    """Sum of ``g_b @ cols_b^T`` over the bands of x's columns, regathered, as `shape`."""
+def _weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(O, I, kh, kw) weight gradient of a conv of x (N, I, H, W) for g (N, O, oh, ow).
+
+    At stride 1 with O < I, the _flip of this gradient with the roles swapped
+    (x as g, g embedded by kh-1, kw-1 as x); otherwise ``g_b @ cols_b^T``
+    summed over the bands of x's columns, regathered.
+    """
     N, O, oh, ow = g.shape
+    if stride == 1 and O < x.shape[1]:
+        return _flip(_weight_grad(x, _embed(g, kh - 1, kw - 1), kh, kw, 1))
     pitch, bands = _bands(x, kh, kw, stride, oh, ow)
     gf = _widen(g, pitch)
     dw = None
@@ -671,7 +685,7 @@ def _weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int,
         else:
             dw += band
         del prod, band
-    return dw.T.reshape(shape)
+    return dw.T.reshape(O, -1, kh, kw)
 
 
 def _check_conv(op: str, x: Tensor, weight: Tensor, stride: int, layout: str) -> None:
@@ -704,33 +718,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Output spatial size is floor((H + 2*padding - k) / stride) + 1.
     """
     _check_conv("conv2d", x, weight, stride, "OIkk")
-    O, I, kh, kw = weight.shape
+    kh, kw = weight.shape[2:]
     xp = pad2d(x, padding, pad_mode)
     H, W = xp.shape[2:]
     if kh > H or kw > W:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than padded input {H}x{W}")
-    oh = (H - kh) // stride + 1
-    ow = (W - kw) // stride + 1
-
     w = weight.data
-    flip = stride == 1 and O < I  # the transposed conv of the flipped kernel
-    if flip:
-        wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        full = _adjoint(xp.data, wf, 1, H + kh - 1, W + kw - 1)
-        out_data = full[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow]
-    else:
-        out_data = _correlate(xp.data, w.reshape(O, -1), kh, kw, stride, oh, ow)
-    out_data = _add_bias("conv2d", out_data, weight, bias)
+    out_data = _add_bias("conv2d", _correlate(xp.data, w, stride), weight, bias)
     xd = x.data if weight.requires_grad else None  # read by the weight gradient only
 
     def backward(g, vxp, vw, vb=None):
         if vw is not None:
             xpd = _pad(xd, padding, pad_mode) if padding else xd
-            if flip:  # conv_transpose2d's weight gradient, roles swapped
-                dwf = _weight_grad(xpd, _embed(g, kh - 1, kw - 1), kh, kw, 1, (I, O, kh, kw))
-                _accum(vw, dwf.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            else:
-                _adopt(vw, _weight_grad(g, xpd, kh, kw, stride, w.shape))
+            _adopt(vw, _weight_grad(g, xpd, kh, kw, stride))
             del xpd  # before _adjoint allocates
         if vb is not None:
             _adopt(vb, g.sum(axis=(0, 2, 3)))
@@ -751,7 +751,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     _check_conv("conv_transpose2d", x, weight, stride, "IOkk")
     if padding < 0 or not 0 <= output_padding < stride:
         raise ShapeError("conv_transpose2d: need 0 <= padding and 0 <= output_padding < stride")
-    I, _, kh, kw = weight.shape
+    kh, kw = weight.shape[2:]
     H, W = x.shape[2:]
     p = padding
     out_h = (H - 1) * stride - 2 * p + kh + output_padding
@@ -770,11 +770,11 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         # the windows read only the natural extent, which the embedding covers
         ge = _embed(g, p, p)
         if vw is not None:
-            _adopt(vw, _weight_grad(xd, ge, kh, kw, stride, w.shape))
+            _adopt(vw, _weight_grad(xd, ge, kh, kw, stride))
         if vb is not None:
             _adopt(vb, g.sum(axis=(0, 2, 3)))
         if vx is not None:
-            _adopt(vx, _correlate(ge, w.reshape(I, -1), kh, kw, stride, H, W))
+            _adopt(vx, _correlate(ge, w, stride))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, backward)

@@ -218,6 +218,95 @@ def test_conv2d_and_its_gradients_match_loops(geometry, one_row_bands, seed):
     assert np.max(np.abs(bt.grad - g.sum(axis=(0, 2, 3)))) < 1e-12
 
 
+def conv_transpose2d_grads_loops(x, w, g, stride, padding):
+    """(d x, d w) of sum(conv_transpose2d(x, w) * g), one tap at a time.
+
+    Input pixel (y, x) and tap (a, b) land on output pixel (y*stride + a -
+    padding, x*stride + b - padding); g is read there, zero outside it.
+    """
+    s, p = stride, padding
+    h, wd = x.shape[2:]
+    kh, kw = w.shape[2:]
+    gp = np.pad(g, ((0, 0), (0, 0), (p, s * h + kh), (p, s * wd + kw)))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for a in range(kh):
+        for b in range(kw):
+            gwin = gp[:, :, a:a + s * h:s, b:b + s * wd:s]
+            dx += np.einsum("noyx,io->niyx", gwin, w[:, :, a, b])
+            dw[:, :, a, b] = np.einsum("niyx,noyx->io", x, gwin)
+    return dx, dw
+
+
+@st.composite
+def _conv_transpose_geometry(draw):
+    # kh != kw: a flip or crop that swaps the two axes fails
+    kh = draw(st.integers(1, 5))
+    kw = draw(st.integers(1, 5).filter(lambda k: k != kh))
+    s = draw(st.integers(1, 3))
+    p, op = draw(st.integers(0, 3)), draw(st.integers(0, s - 1))
+    # each output axis, (size - 1)*s - 2p + k + op, must be at least 1
+    lo_h = 1 + max(0, -(-(2 * p + 1 - kh - op) // s))
+    lo_w = 1 + max(0, -(-(2 * p + 1 - kw - op) // s))
+    h, wd = draw(st.integers(lo_h, lo_h + 3)), draw(st.integers(lo_w, lo_w + 3))
+    n = draw(st.integers(1, 2))
+    ci, co = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return n, ci, co, h, wd, kh, kw, s, p, op
+
+
+@given(_conv_transpose_geometry(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conv_transpose2d_and_its_gradients_match_loops(geometry, one_row_bands, seed):
+    # I < O at stride 1 takes the gathered forward, the flipped weight
+    # gradient and the scattered input gradient; the rest the scatter forward
+    # and the gathered backward
+    n, ci, co, h, wd, kh, kw, s, p, op = geometry
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, ci, h, wd))
+    w = rng.normal(size=(ci, co, kh, kw))
+    b = rng.normal(size=co)
+    xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+    with pytest.MonkeyPatch.context() as mp:
+        if one_row_bands:
+            mp.setattr(T, "BLOCK_ELEMS", 1)
+        out = T.conv_transpose2d(xt, wt, bt, stride=s, padding=p, output_padding=op)
+        g = rng.normal(size=out.shape)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+
+    want = conv_transpose2d_loops(x, w, b, s, p, op)
+    assert out.shape == want.shape
+    assert np.max(np.abs(out.data - want)) < 1e-12
+    dx, dw = conv_transpose2d_grads_loops(x, w, g, s, p)
+    assert np.max(np.abs(xt.grad - dx)) < 1e-12
+    assert np.max(np.abs(wt.grad - dw)) < 1e-12
+    assert np.max(np.abs(bt.grad - g.sum(axis=(0, 2, 3)))) < 1e-12
+
+
+@pytest.mark.parametrize("ci, co", [(2, 5), (5, 2), (3, 3)])
+@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+def test_stride1_conv_products_window_the_side_with_fewer_channels(op, ci, co,
+                                                                   monkeypatch):
+    # forward, weight gradient and input gradient each copy kh*kw shifted
+    # windows of one array: at stride 1 the one with min(I, O) channels
+    seen = []
+    bands = T._bands
+
+    def spy(x, *args):
+        seen.append(x.shape[1])
+        return bands(x, *args)
+
+    monkeypatch.setattr(T, "_bands", spy)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, ci, 6, 5)), requires_grad=True)
+    if op == "conv2d":
+        w = Tensor(rng.normal(size=(co, ci, 3, 2)), requires_grad=True)
+        out = T.conv2d(x, w, stride=1, padding=1)
+    else:
+        w = Tensor(rng.normal(size=(ci, co, 3, 2)), requires_grad=True)
+        out = T.conv_transpose2d(x, w, stride=1, padding=1)
+    T.reduce_sum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+    assert seen == [min(ci, co)] * 3
+
+
 def test_no_grad_head_conv_never_holds_its_column_matrix():
     # 64 -> 3 channels, 7x7, 256x256 output: the whole column matrix would be
     # 3136 x 65536 float32 = 822 MB

@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""Print a bitwise digest of perfbench's steps and eval pass, per workload.
+
+    python tools/step_digest.py [TREE]
+
+TREE is a checkout of the repository (default: the one holding this script);
+its ``src`` and ``perfbench`` are imported. For each workload, in a fresh
+temporary directory, the script runs ``setup``, three ``run_step`` calls and
+one ``run_eval`` at seed 0, and prints one JSON line: every term of every
+step as ``float.hex``, ``models.params_digest`` over the trained models, and
+a sha256 over the eval outputs and images. Two trees compute the same
+numbers when their outputs match under ``diff``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+STEPS = 3
+SEED = 0
+
+
+def digest(workloads, models, name: str) -> dict:
+    w = workloads.WORKLOADS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        s = workloads.setup(w, SEED, Path(tmp))
+        steps = [{k: float(v).hex() for k, v in workloads.run_step(s, i).terms.items()}
+                 for i in range(STEPS)]
+        h = hashlib.sha256()
+        for r in workloads.run_eval(s):
+            h.update(r.output.tobytes())
+            h.update(r.image.tobytes())
+    params = [(f"{i}.{n}", t) for i, m in enumerate(s.trained)
+              for n, t in m.named_params()]
+    return {"workload": name, "steps": steps,
+            "params": models.params_digest(params), "eval": h.hexdigest()}
+
+
+def main(argv: list[str]) -> int:
+    tree = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import workloads
+    from srdistill import models
+
+    for name in workloads.WORKLOADS:
+        print(json.dumps(digest(workloads, models, name)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -462,6 +462,8 @@ def load_model(path, dtype=np.float32) -> Model:
                                 in enumerate(zip(names, expected + [None])) if a != b)
             raise CodecError(f"checkpoint record {i} is {got!r}, where the model has "
                              + (repr(want) if want else f"only {i} parameters"))
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise CodecError(f"{path}: {exc.strerror}") from None
     except CodecError as exc:
         raise CodecError(f"{path}: {exc}") from None
     return model

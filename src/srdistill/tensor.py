@@ -461,15 +461,14 @@ def _row_blocks(m: np.ndarray, scratch: np.ndarray | None = None):
 
 
 def _reflect_fold(g: np.ndarray, p: int, H: int, W: int) -> np.ndarray:
-    # adjoint of np.pad(..., mode="reflect") on the last two axes
+    # adjoint of np.pad(..., mode="reflect") on the last two axes; reversed
+    # forward slices are empty at p = 0, where a start of p - 1 would wrap
     mid = g[..., p:p + H, :].copy()
-    if p:
-        mid[..., 1:p + 1, :] += g[..., p - 1::-1, :]
-        mid[..., H - p - 1:H - 1, :] += g[..., :H + p - 1:-1, :]
+    mid[..., 1:p + 1, :] += g[..., :p, :][..., ::-1, :]
+    mid[..., H - p - 1:H - 1, :] += g[..., :H + p - 1:-1, :]
     out = mid[..., :, p:p + W].copy()
-    if p:
-        out[..., :, 1:p + 1] += mid[..., :, p - 1::-1]
-        out[..., :, W - p - 1:W - 1] += mid[..., :, :W + p - 1:-1]
+    out[..., :, 1:p + 1] += mid[..., :, :p][..., ::-1]
+    out[..., :, W - p - 1:W - 1] += mid[..., :, :W + p - 1:-1]
     return out
 
 
@@ -498,13 +497,12 @@ def _pad(x: np.ndarray, p: int, mode: str) -> np.ndarray:
 
 
 def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
-    """Pad the last two axes by `padding` on every side (zero or reflect)."""
+    """Pad the last two axes by `padding` on every side (zero or reflect) into
+    a fresh C-contiguous plane, a new node at padding 0 too."""
     if mode not in ("zero", "reflect"):
         raise ValueError(f"pad2d: unknown mode {mode!r}")
     if padding < 0:
         raise ShapeError(f"pad2d: negative padding {padding}")
-    if padding == 0:
-        return a
     if a.data.ndim != 4:
         raise ShapeError(f"pad2d expects NCHW, got shape {a.shape}")
     N, C, H, W = a.shape
@@ -534,7 +532,8 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # its flipped, transposed kernel (Dumoulin & Visin 2016, arXiv 1603.07285).
 # So both ops share three products, each run one band of output rows at a
 # time (_bands); a band's columns hold at most BLOCK_ELEMS elements (at
-# least one row) and are dropped at once:
+# least one row) and are dropped at once. Each windows one fresh C-contiguous
+# plane, built by _pad, _embed or np.zeros, as it is:
 #   - _correlate, w2d @ columns, gathers each tap's window of the input. At
 #     stride 1 a tap's columns are one flat span of the padded plane, rows
 #     at pitch Wp (kn2row's geometry: Vasudevan et al. 2017, arXiv
@@ -553,7 +552,8 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # One rule picks each product's form from its shapes: at stride 1 it copies
 # kh*kw shifted windows (gathered, or scattered into) of the side with fewer
 # channels, the input on a tie. So where O < I (the 7x7 heads, the last
-# PatchGAN conv) _correlate scatters _flip(w), _adjoint gathers and
+# PatchGAN conv) _correlate scatters _flip(w) at x's own pitch, whose spans
+# wrap only into the kw-1 columns its crop drops, _adjoint gathers and
 # _weight_grad regathers the embedded g; elsewhere, and at other strides,
 # _correlate and _weight_grad gather the input and _adjoint scatters.
 # conv2d runs _correlate forward, and _weight_grad and _adjoint backward;
@@ -573,13 +573,12 @@ BLOCK_ELEMS = 2 ** 20
 def _bands(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
     """Row pitch of the bands, and (y0, y1, windows) per band of output rows.
 
-    ``windows``, a (N, C, kh, kw, *tail) view of x (of x itself when it is
-    C-contiguous), holds per tap the inputs of output rows y0:y1: at stride
-    1 one flat span of ``(y1-y0-1)*Wp + ow`` elements, rows at pitch Wp;
-    otherwise the (y1-y0, ow) windows at (stride*y, stride*x), rows at pitch
-    ow. Reshaped to (N, C*kh*kw, span) they are the band's columns.
+    ``windows``, a (N, C, kh, kw, *tail) view of x, which must be one
+    C-contiguous plane, holds per tap the inputs of output rows y0:y1: at
+    stride 1 one flat span of ``(y1-y0-1)*Wp + ow`` elements, rows at pitch
+    Wp; otherwise the (y1-y0, ow) windows at (stride*y, stride*x), rows at
+    pitch ow. Reshaped to (N, C*kh*kw, span) they are the band's columns.
     """
-    x = np.ascontiguousarray(x)  # a span reads the plane as one flat row
     N, C, Hp, Wp = x.shape
     sW = x.itemsize  # C order's own strides: a length-1 axis may report any
     sN, sC, sH = C * Hp * Wp * sW, Hp * Wp * sW, Wp * sW
@@ -617,14 +616,14 @@ def _flip(w: np.ndarray) -> np.ndarray:
 def _correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """(N, O, oh, ow) correlation of x (N, I, H, W) with w (O, I, kh, kw).
 
-    At stride 1 with O < I, the _adjoint scatter of ``_flip(w)``, cropped;
-    otherwise ``w2d @ columns(x)`` band by band, keeping no columns.
+    At stride 1 with O < I, the cropped _adjoint scatter of ``_flip(w)`` at
+    x's pitch; otherwise ``w2d @ columns(x)`` band by band, keeping no columns.
     """
     N, _, H, W = x.shape
     O, I, kh, kw = w.shape
     oh, ow = (H - kh) // stride + 1, (W - kw) // stride + 1
     if stride == 1 and O < I:
-        full = _adjoint(x, _flip(w), 1, H + kh - 1, W + kw - 1)
+        full = _adjoint(x, _flip(w), 1, H + kh, W)
         return full[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow]
     w2d = w.reshape(O, -1)
     out = np.empty((N, O, oh, ow), dtype=np.result_type(x, w))
@@ -729,9 +728,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def backward(g, vxp, vw, vb=None):
         if vw is not None:
-            xpd = _pad(xd, padding, pad_mode) if padding else xd
-            _adopt(vw, _weight_grad(g, xpd, kh, kw, stride))
-            del xpd  # before _adjoint allocates
+            _adopt(vw, _weight_grad(g, _pad(xd, padding, pad_mode), kh, kw, stride))
         if vb is not None:
             _adopt(vb, g.sum(axis=(0, 2, 3)))
         if vxp is not None:

@@ -211,6 +211,17 @@ def test_checkpoint_the_model_rejects_is_a_codec_error_naming_the_file(tmp_path,
         load_model(path)
 
 
+@pytest.mark.parametrize("as_directory", [False, True], ids=["missing", "a_directory"])
+def test_checkpoint_that_is_no_file_is_a_codec_error_naming_the_path(tmp_path,
+                                                                     as_directory):
+    path = tmp_path / "g.ckpt"
+    if as_directory:
+        path.mkdir()
+    with pytest.raises(CodecError) as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("fault, culprit", [
     ("extra", "'extra.weight'"),
     ("swapped", "'res1.0.conv2.weight', where the model has 'res1.0.conv1.weight'"),

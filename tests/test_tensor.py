@@ -467,8 +467,8 @@ def test_multi_row_bands_match_loops(stride, co, monkeypatch):
 
 @pytest.mark.parametrize("co", [4, 2], ids=["scatter", "kn2row"])
 def test_stride1_conv_of_a_non_contiguous_input_matches_loops(co):
-    # at padding 0 pad2d hands conv2d its input as it is; a transposed view's
-    # plane is not one flat row, which the stride-1 spans read it as
+    # a transposed view's plane is not one flat row, which the stride-1 spans
+    # read it as: pad2d copies it into a fresh plane at padding 0 too
     rng = np.random.default_rng(11)
     x = rng.normal(size=(2, 3, 7, 6)).transpose(0, 1, 3, 2)
     assert not x.flags.c_contiguous
@@ -482,6 +482,53 @@ def test_stride1_conv_of_a_non_contiguous_input_matches_loops(co):
     dx, dw = conv2d_grads_loops(x, w, g, 1)
     assert np.max(np.abs(xt.grad - dx)) < 1e-12
     assert np.max(np.abs(wt.grad - dw)) < 1e-12
+
+
+@pytest.mark.parametrize("run", [1, 4, 6])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_flipped_kernel_forward_at_a_narrow_pitch_matches_loops(extra, run, monkeypatch):
+    # stride 1 and O < I at padding 0, the input kw + extra wide: the forward
+    # scatters onto a plane of the input's own width and one more row, where
+    # a tap's span wraps into the kw-1 columns the crop drops. Bands of `run`
+    # of its 6 rows: one-row bands, a short last band, and one band
+    n, ci, co, h, kh, kw = 2, 5, 2, 6, 3, 4
+    wd = kw + extra
+    monkeypatch.setattr(T, "BLOCK_ELEMS", run * n * co * kh * kw * wd)
+    planes = []
+    bands = T._bands
+
+    def spy(x, *args):
+        planes.append(x.shape)
+        return bands(x, *args)
+
+    monkeypatch.setattr(T, "_bands", spy)
+    rng = np.random.default_rng(extra * 10 + run)
+    x = rng.normal(size=(n, ci, h, wd))
+    w = rng.normal(size=(co, ci, kh, kw))
+    b = rng.normal(size=co)
+    xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+    out = T.conv2d(xt, wt, bt)
+    assert planes == [(n, co, h + kh, wd)]
+    g = rng.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    assert np.max(np.abs(out.data - conv2d_loops(x, w, b, 1, 0))) < 1e-12
+    dx, dw = conv2d_grads_loops(x, w, g, 1)
+    assert np.max(np.abs(xt.grad - dx)) < 1e-12
+    assert np.max(np.abs(wt.grad - dw)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["zero", "reflect"])
+def test_pad2d_at_padding_0_is_a_new_node_whose_gradient_reaches_its_input(mode):
+    # every conv input is one fresh C-contiguous plane: a transposed view too
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(2, 3, 5, 4)).transpose(0, 1, 3, 2), requires_grad=True)
+    out = T.pad2d(x, 0, mode)
+    assert out is not x and out.requires_grad
+    assert np.array_equal(out.data, x.data)
+    assert out.data.flags.c_contiguous and not np.shares_memory(out.data, x.data)
+    g = rng.normal(size=out.shape)
+    T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    assert np.array_equal(x.grad, g)
 
 
 @pytest.mark.parametrize("op, w_shape, co", [
@@ -507,11 +554,12 @@ def test_conv_bias_lands_in_a_fresh_output(op, w_shape, co):
 
 @pytest.mark.parametrize("run", [1, 3, 16])
 def test_kn2row_tap_runs_match_loops(run, monkeypatch):
-    # stride 1 and O < I: bands of `run` rows in all three products. Each
-    # shifts the 2 output channels over 16 taps at pitch Wp + kw - 1 = 12
-    # (the forward's scatter onto the 11x12 plane, the gather of the
-    # embedded g, the weight gradient's regather of it), 768 elements a row
-    # over 8 rows: one-row bands, a short last band, and one band
+    # stride 1 and O < I. The gather of the embedded g and the weight
+    # gradient's regather of it shift the 2 output channels over 16 taps at
+    # pitch Wp + kw - 1 = 12 (the 11x12 plane), 768 elements a row: bands of
+    # `run` of 8 rows, so one-row bands, a short last band, and one band.
+    # The forward scatters onto a 12x9 plane at the input's pitch 9, 576
+    # elements a row: bands of 1, 4 and 21 rows
     rng = np.random.default_rng(run)
     x = rng.normal(size=(2, 5, 6, 7))
     w = rng.normal(size=(2, 5, 4, 4))

@@ -276,8 +276,12 @@ _HEADER = re.compile(rb"P[56](?:\s|#[^\n]*\n)+([^\s#]\S*)"
 
 
 def read_image(path) -> np.ndarray:
-    """A binary PPM (H, W, 3) or PGM (H, W) file's uint8 pixels."""
-    raw = Path(path).read_bytes()
+    """A binary PPM (H, W, 3) or PGM (H, W) file's uint8 pixels; any fault,
+    a missing file or a directory too, is a CodecError naming `path`."""
+    try:
+        raw = Path(path).read_bytes()
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise CodecError(f"{path}: {exc.strerror}") from None
     if raw[:2] not in (b"P5", b"P6"):
         raise CodecError(f"{path}: not a binary PGM/PPM file (magic {raw[:2]!r})")
     header = _HEADER.match(raw)
@@ -375,8 +379,8 @@ def _read_split(d: Path, suffixes, count: int, res: int):
             path = first.with_name(stem + suffix)
             try:
                 arr = read_image(path)
-            except (FileNotFoundError, IsADirectoryError) as exc:
-                raise CodecError(f"{first}: {path}: {exc.strerror}") from None
+            except CodecError as exc:
+                raise CodecError(f"{first}: {exc}") from None
             if arr.shape != shape:
                 raise CodecError(f"{first}: {path}: shape {arr.shape}, expected {shape}")
             if arr.max(initial=0) > _PART_MAX[suffix]:

@@ -472,19 +472,19 @@ def _reflect_fold(g: np.ndarray, p: int, H: int, W: int) -> np.ndarray:
     return out
 
 
-def _embed(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad the last two axes by (ph, pw) on each side."""
-    N, C, H, W = x.shape
-    out = np.zeros((N, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
-    out[:, :, ph:ph + H, pw:pw + W] = x
+def _embed(x: np.ndarray, H: int, W: int, top: int, left: int) -> np.ndarray:
+    """x (N, C, h, w) placed at (top, left) of a zeroed (N, C, H, W) plane."""
+    N, C, h, w = x.shape
+    out = np.zeros((N, C, H, W), dtype=x.dtype)
+    out[:, :, top:top + h, left:left + w] = x
     return out
 
 
 def _pad(x: np.ndarray, p: int, mode: str) -> np.ndarray:
     """x (N, C, H, W) padded by p on every side; pad2d checks the arguments."""
-    if mode == "zero":
-        return _embed(x, p, p)
     N, C, H, W = x.shape
+    if mode == "zero":
+        return _embed(x, H + 2 * p, W + 2 * p, p, p)
     out = np.empty((N, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
     out[:, :, p:p + H, p:p + W] = x
     # mirror rows without the edge row, then whole columns (corners
@@ -533,7 +533,7 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 # So both ops share three products, each run one band of output rows at a
 # time (_bands); a band's columns hold at most BLOCK_ELEMS elements (at
 # least one row) and are dropped at once. Each windows one fresh C-contiguous
-# plane, built by _pad, _embed or np.zeros, as it is:
+# plane as it is, built by _pad, np.zeros or _embed (the one zero-plane builder):
 #   - _correlate, w2d @ columns, gathers each tap's window of the input. At
 #     stride 1 a tap's columns are one flat span of the padded plane, rows
 #     at pitch Wp (kn2row's geometry: Vasudevan et al. 2017, arXiv
@@ -547,14 +547,15 @@ def pad2d(a: Tensor, padding: int, mode: str = "zero") -> Tensor:
 #     an input the backward holds anyway or rebuilds. So no conv keeps
 #     columns or a padded copy from forward to backward; one more pad and
 #     gather buy that (Chen et al. 2016, arXiv 1604.06174). The scatter and
-#     the weight gradient widen g once to the bands' pitch with zero wrap
-#     columns (_widen), so the wrap columns add nothing.
+#     the weight gradient read g at the bands' pitch, embedded with zero wrap
+#     columns where that pitch is not ow, so the wrap columns add nothing.
 # One rule picks each product's form from its shapes: at stride 1 it copies
 # kh*kw shifted windows (gathered, or scattered into) of the side with fewer
 # channels, the input on a tie. So where O < I (the 7x7 heads, the last
-# PatchGAN conv) _correlate scatters _flip(w) at x's own pitch, whose spans
-# wrap only into the kw-1 columns its crop drops, _adjoint gathers and
-# _weight_grad regathers the embedded g; elsewhere, and at other strides,
+# PatchGAN conv) _correlate scatters _flip(w) at x's own pitch, its spans
+# wrapping into the kw-1 columns its crop drops; _weight_grad regathers g
+# embedded at x's own pitch too, one row taller, its spans wrapping into the
+# next row's kw-1 leading zeros; _adjoint gathers the padded g. Otherwise
 # _correlate and _weight_grad gather the input and _adjoint scatters.
 # conv2d runs _correlate forward, and _weight_grad and _adjoint backward;
 # conv_transpose2d runs _adjoint forward, and _weight_grad and _correlate
@@ -598,16 +599,6 @@ def _bands(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
     return pitch, bands()
 
 
-def _widen(g: np.ndarray, pitch: int) -> np.ndarray:
-    """g (N, O, oh, ow) as flat rows of length pitch, (N, O, oh*pitch), zero past ow."""
-    N, O, oh, ow = g.shape
-    if pitch != ow:
-        gw = np.zeros((N, O, oh, pitch), dtype=g.dtype)
-        gw[..., :ow] = g
-        g = gw
-    return g.reshape(N, O, oh * pitch)
-
-
 def _flip(w: np.ndarray) -> np.ndarray:
     """Kernel w (O, I, kh, kw) flipped in both spatial axes, as (I, O, kh, kw)."""
     return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -639,18 +630,20 @@ def _correlate(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
 def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.ndarray:
     """(N, I, H, W) input gradient of a conv by w (O, I, kh, kw) for g (N, O, oh, ow).
 
-    At stride 1 with O < I it gathers: the _correlate of g zero-padded by
-    kh-1, kw-1 with ``_flip(w)``. Otherwise each band's ``w^T @ g_b`` is
-    added tap by tap onto that band's windows of the zeroed gradient.
+    At stride 1 with O < I it gathers: the _correlate with ``_flip(w)`` of g
+    embedded at (kh-1, kw-1) of a zeroed (oh+2kh-2, ow+2kw-2) plane.
+    Otherwise each band's ``w^T @ g_b``, g at the bands' pitch, is added tap
+    by tap onto that band's windows of the zeroed gradient.
     """
     N, O, oh, ow = g.shape
     _, I, kh, kw = w.shape
     if stride == 1 and O < I:
-        return _correlate(_embed(g, kh - 1, kw - 1), _flip(w), 1)
+        ge = _embed(g, oh + 2 * kh - 2, ow + 2 * kw - 2, kh - 1, kw - 1)
+        return _correlate(ge, _flip(w), 1)
     dx = np.zeros((N, I, H, W), dtype=np.result_type(g, w))
     wt = w.reshape(O, I * kh * kw).T
     pitch, bands = _bands(dx, kh, kw, stride, oh, ow)
-    gf = _widen(g, pitch)
+    gf = (g if pitch == ow else _embed(g, oh, pitch, 0, 0)).reshape(N, O, oh * pitch)
     for y0, y1, win in bands:
         dcols = (wt @ gf[..., y0 * pitch:(y1 - 1) * pitch + ow]).reshape(win.shape)
         for i in range(kh):
@@ -663,15 +656,17 @@ def _adjoint(g: np.ndarray, w: np.ndarray, stride: int, H: int, W: int) -> np.nd
 def _weight_grad(g: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """(O, I, kh, kw) weight gradient of a conv of x (N, I, H, W) for g (N, O, oh, ow).
 
-    At stride 1 with O < I, the _flip of this gradient with the roles swapped
-    (x as g, g embedded by kh-1, kw-1 as x); otherwise ``g_b @ cols_b^T``
-    summed over the bands of x's columns, regathered.
+    At stride 1 with O < I, the _flip of this gradient with the roles swapped:
+    x as g, and as x g embedded at (kh-1, kw-1) of a zeroed (H+kh, W) plane,
+    whose spans wrap into the next row's kw-1 leading zeros; otherwise
+    ``g_b @ cols_b^T`` summed over the bands of x's columns, regathered.
     """
     N, O, oh, ow = g.shape
-    if stride == 1 and O < x.shape[1]:
-        return _flip(_weight_grad(x, _embed(g, kh - 1, kw - 1), kh, kw, 1))
+    _, I, H, W = x.shape
+    if stride == 1 and O < I:
+        return _flip(_weight_grad(x, _embed(g, H + kh, W, kh - 1, kw - 1), kh, kw, 1))
     pitch, bands = _bands(x, kh, kw, stride, oh, ow)
-    gf = _widen(g, pitch)
+    gf = (g if pitch == ow else _embed(g, oh, pitch, 0, 0)).reshape(N, O, oh * pitch)
     dw = None
     for y0, y1, win in bands:
         # one band's columns alive at a time: with two, each call faulted its
@@ -765,7 +760,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def backward(g, vx, vw, vb=None):
         # the windows read only the natural extent, which the embedding covers
-        ge = _embed(g, p, p)
+        ge = _embed(g, out_h + 2 * p, out_w + 2 * p, p, p)
         if vw is not None:
             _adopt(vw, _weight_grad(xd, ge, kh, kw, stride))
         if vb is not None:

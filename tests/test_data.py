@@ -220,6 +220,16 @@ def test_header_number_too_long_for_int_is_a_codec_error(tmp_path):
         read_image(p)
 
 
+@pytest.mark.parametrize("as_directory", [False, True], ids=["missing", "a_directory"])
+def test_read_image_of_a_path_that_is_not_a_file_is_a_codec_error(tmp_path, as_directory):
+    p = tmp_path / "x.ppm"
+    if as_directory:
+        p.mkdir()
+    with pytest.raises(CodecError) as exc:
+        read_image(p)
+    assert str(p) in str(exc.value)
+
+
 def test_tensor_mapping_endpoints():
     img = np.array([[[0, 127, 255]]], dtype=np.uint8).reshape(1, 1, 3)
     t = image_to_tensor(img)
@@ -418,6 +428,17 @@ def test_missing_second_file_of_a_sample_is_a_codec_error(tmp_path, regime, firs
         (load_unpaired if regime == "unpaired" else load_paired)(tmp_path)
     assert str(tmp_path / first) in str(exc.value)
     assert str(tmp_path / missing) in str(exc.value)
+
+
+def test_undecodable_second_file_of_a_sample_names_the_sample(tmp_path):
+    spec = UnpairedDatasetSpec(train_samples=2, test_samples=1)
+    save_unpaired(tmp_path, spec, gen_unpaired(spec))
+    mask = tmp_path / "trainB" / "0001_mask.pgm"
+    mask.write_bytes(mask.read_bytes()[:-1])
+    with pytest.raises(CodecError, match="payload") as exc:
+        load_unpaired(tmp_path)
+    assert str(tmp_path / "trainB" / "0001.ppm") in str(exc.value)
+    assert str(mask) in str(exc.value)
 
 
 def test_paired_label_and_photo_of_another_size_is_a_codec_error(tmp_path):

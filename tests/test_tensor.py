@@ -489,8 +489,10 @@ def test_stride1_conv_of_a_non_contiguous_input_matches_loops(co):
 def test_flipped_kernel_forward_at_a_narrow_pitch_matches_loops(extra, run, monkeypatch):
     # stride 1 and O < I at padding 0, the input kw + extra wide: the forward
     # scatters onto a plane of the input's own width and one more row, where
-    # a tap's span wraps into the kw-1 columns the crop drops. Bands of `run`
-    # of its 6 rows: one-row bands, a short last band, and one band
+    # a tap's span wraps into the kw-1 columns the crop drops, and the weight
+    # gradient regathers g embedded in a plane of that shape, where a span
+    # wraps into the next row's kw-1 leading zeros. Bands of `run` of the 6
+    # rows: one-row bands, a short last band, and one band
     n, ci, co, h, kh, kw = 2, 5, 2, 6, 3, 4
     wd = kw + extra
     monkeypatch.setattr(T, "BLOCK_ELEMS", run * n * co * kh * kw * wd)
@@ -511,6 +513,8 @@ def test_flipped_kernel_forward_at_a_narrow_pitch_matches_loops(extra, run, monk
     assert planes == [(n, co, h + kh, wd)]
     g = rng.normal(size=out.shape)
     T.reduce_sum(T.mul(out, Tensor(g))).backward()
+    # forward, weight gradient, then the input gradient's gather
+    assert planes == [(n, co, h + kh, wd)] * 2 + [(n, co, h + kh - 1, wd + kw - 1)]
     assert np.max(np.abs(out.data - conv2d_loops(x, w, b, 1, 0))) < 1e-12
     dx, dw = conv2d_grads_loops(x, w, g, 1)
     assert np.max(np.abs(xt.grad - dx)) < 1e-12

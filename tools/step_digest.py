@@ -11,12 +11,16 @@ step as ``float.hex``, ``models.params_digest`` over the trained models, and
 a sha256 over the eval outputs and images. Two trees compute the same
 numbers when their outputs match under ``diff``.
 
-``paired256``'s three steps amplify last-bit changes: a change that moves
-where a 256 px conv's bands of rows begin reorders float32 sums, and
-``tensor.BLOCK_ELEMS = 2**20 - 4096`` alone moves its step-3
-``grad_student0`` from 88.763 to 91.542. Such a change is checked by its
-step-1 terms, which must agree within float32 rounding, and by perfbench's
-step-1 reference check, not by ``diff``.
+Three steps amplify last-bit changes on every workload, so a change that
+reorders float32 sums shows in the digest. On ``paired256``,
+``tensor.BLOCK_ELEMS = 2**20 - 4096``, which moves where a conv's bands of
+rows begin, alone moves the step-3 ``grad_student0`` from 88.763 to 91.542.
+On ``cycle64``, regathering the flipped-kernel weight gradient at its
+input's own pitch, which drops zeros from its sums, leaves the step-1 terms
+within 1.1e-9 relative but the step-3 ``grad_student0`` 1.8e-3 apart. On
+any workload such a change is checked by its step-1 terms, which must agree
+within float32 rounding, and by perfbench's step-1 reference check, not by
+``diff``.
 """
 
 from __future__ import annotations
